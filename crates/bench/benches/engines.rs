@@ -31,7 +31,7 @@ fn bench_engines(c: &mut Criterion) {
             g.bench_with_input(
                 BenchmarkId::new(format!("jit/{layout}"), sel),
                 &sel,
-                |b, _| b.iter(|| CompiledEngine.execute(&plan, &db).unwrap()),
+                |b, _| b.iter(|| CompiledEngine::new().execute(&plan, &db).unwrap()),
             );
             g.bench_with_input(
                 BenchmarkId::new(format!("bulk/{layout}"), sel),

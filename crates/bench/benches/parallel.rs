@@ -1,10 +1,9 @@
-//! Criterion: the morsel-driven parallel engine vs the sequential compiled
-//! engine on the Fig.-3 microbenchmark, swept over worker counts — the
-//! statistical companion to the `fig_scaling` binary.
+//! Criterion: the compiled engine on the Fig.-3 microbenchmark, swept over
+//! worker counts (`CompiledEngine::with_threads`) — the statistical
+//! companion to the `fig_scaling` binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pdsm_exec::engine::{CompiledEngine, Engine};
-use pdsm_par::ParallelEngine;
 use pdsm_storage::Table;
 use pdsm_workloads::microbench;
 use std::collections::HashMap;
@@ -24,12 +23,9 @@ fn bench_parallel_scan(c: &mut Criterion) {
     let plan = microbench::query(SEL);
     let mut g = c.benchmark_group("parallel_scan_agg");
     g.throughput(Throughput::Elements(ROWS as u64));
-    g.bench_function("compiled/seq", |b| {
-        b.iter(|| CompiledEngine.execute(&plan, &db).unwrap())
-    });
     for threads in [1usize, 2, 4, 8] {
-        let engine = ParallelEngine::with_threads(threads);
-        g.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, _| {
+        let engine = CompiledEngine::with_threads(threads);
+        g.bench_with_input(BenchmarkId::new("compiled", threads), &threads, |b, _| {
             b.iter(|| engine.execute(&plan, &db).unwrap())
         });
     }
@@ -55,12 +51,9 @@ fn bench_parallel_grouped(c: &mut Criterion) {
         .build();
     let mut g = c.benchmark_group("parallel_grouped_agg");
     g.throughput(Throughput::Elements(ROWS as u64));
-    g.bench_function("compiled/seq", |b| {
-        b.iter(|| CompiledEngine.execute(&plan, &db).unwrap())
-    });
     for threads in [1usize, 2, 4, 8] {
-        let engine = ParallelEngine::with_threads(threads);
-        g.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, _| {
+        let engine = CompiledEngine::with_threads(threads);
+        g.bench_with_input(BenchmarkId::new("compiled", threads), &threads, |b, _| {
             b.iter(|| engine.execute(&plan, &db).unwrap())
         });
     }

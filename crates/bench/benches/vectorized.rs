@@ -32,7 +32,7 @@ fn bench_vectorized(c: &mut Criterion) {
         b.iter(|| e.execute(&plan, &db).unwrap())
     });
     g.bench_function("compiled", |b| {
-        b.iter(|| CompiledEngine.execute(&plan, &db).unwrap())
+        b.iter(|| CompiledEngine::new().execute(&plan, &db).unwrap())
     });
     g.bench_function("bulk", |b| {
         b.iter(|| BulkEngine.execute(&plan, &db).unwrap())

@@ -37,11 +37,12 @@ fn main() {
     );
 
     let vectorized = VectorizedEngine::default();
+    let compiled = CompiledEngine::new();
     let engines: Vec<(&str, &dyn Engine)> = vec![
         ("volcano", &VolcanoEngine),
         ("bulk", &BulkEngine),
         ("vector", &vectorized),
-        ("jit", &CompiledEngine),
+        ("jit", &compiled),
     ];
 
     let mut out_rows = Vec::new();

@@ -33,10 +33,13 @@
 //!
 //! Usage: `cargo run -p pdsm-bench --release --bin fig_update_mix
 //!         [--rows 200000] [--ops 4000] [--sel 0.05] [--engine compiled]
-//!         [--json BENCH_update_mix.json]`
+//!         [--threads 1] [--json BENCH_update_mix.json]`
+//!
+//! `--threads` sets the compiled engine's workers per pipeline.
 
 use pdsm_bench::{fmt_num, percentile, print_table, Args, Json};
-use pdsm_core::{Database, EngineKind, MaintenanceConfig, MaintenanceMode};
+use pdsm_core::{Database, MaintenanceConfig, MaintenanceMode};
+use pdsm_exec::engine::{CompiledEngine, Engine};
 use pdsm_storage::{Layout, Value};
 use pdsm_txn::{BuiltMain, MergeTicket, VersionedTable};
 use pdsm_workloads::microbench;
@@ -49,12 +52,13 @@ use std::time::Instant;
 /// `Database` write path's `PDSM_MERGE_MAX_LAG` default).
 const MAX_LAG: usize = 8;
 
-fn engine_of(name: &str) -> EngineKind {
+/// The read engine: volcano, bulk, or (any other name) the compiled
+/// engine at `threads` workers.
+fn engine_of(name: &str, threads: usize) -> Box<dyn Engine> {
     match name {
-        "volcano" => EngineKind::Volcano,
-        "bulk" => EngineKind::Bulk,
-        "parallel" => EngineKind::Parallel,
-        _ => EngineKind::Compiled,
+        "volcano" => Box::new(pdsm_exec::engine::VolcanoEngine),
+        "bulk" => Box::new(pdsm_exec::engine::BulkEngine),
+        _ => Box::new(CompiledEngine::with_threads(threads)),
     }
 }
 
@@ -121,14 +125,13 @@ fn run_mix(
     sel: f64,
     mix: (&'static str, f64),
     threshold: usize,
-    kind: EngineKind,
+    engine: &dyn Engine,
     mode: Mode,
 ) -> MixResult {
     let base = microbench::generate(rows, sel, microbench::pdsm_layout(), 42);
     let mut t = VersionedTable::from_table(base);
     let mut live = mixed::live_ids(&t);
     let w = mixed::microbench_mix(ops, mix.1, sel, 7);
-    let engine = kind.engine();
     let builder = match mode {
         Mode::Background => Some(Builder::spawn()),
         Mode::Sync => None,
@@ -297,12 +300,13 @@ fn main() {
     let rows: usize = args.get("rows", 200_000);
     let ops: usize = args.get("ops", 4_000);
     let sel: f64 = args.get("sel", 0.05);
-    let kind = engine_of(&args.get::<String>("engine", "compiled".into()));
+    let threads: usize = args.get("threads", 1);
+    let engine = engine_of(&args.get::<String>("engine", "compiled".into()), threads);
     let json_path: String = args.get("json", "BENCH_update_mix.json".into());
 
     println!(
-        "fig_update_mix — {rows} base rows, {ops} ops, sel {sel}, engine {:?}\n",
-        kind
+        "fig_update_mix — {rows} base rows, {ops} ops, sel {sel}, engine {} ({threads} thread(s))\n",
+        engine.name()
     );
     println!("read/write mixes x merge thresholds x merge mode (sync = fold on the writer's");
     println!("thread; background = three-phase pipeline, fold on a worker):\n");
@@ -320,7 +324,7 @@ fn main() {
                 if mix.1 >= 1.0 && mode == Mode::Background {
                     continue;
                 }
-                let r = run_mix(rows, ops, sel, mix, threshold, kind, mode);
+                let r = run_mix(rows, ops, sel, mix, threshold, engine.as_ref(), mode);
                 out_rows.push(vec![
                     r.mix.to_string(),
                     if mix.1 >= 1.0 {
@@ -411,7 +415,8 @@ fn main() {
         ("rows", Json::Int(rows as i64)),
         ("ops", Json::Int(ops as i64)),
         ("sel", Json::Num(sel)),
-        ("engine", Json::Str(format!("{kind:?}"))),
+        ("engine", Json::Str(engine.name().into())),
+        ("threads", Json::Int(threads as i64)),
         (
             "results",
             Json::Arr(

@@ -64,7 +64,6 @@ use pdsm_exec::engine::{
 use pdsm_exec::{QueryOutput, QueryResult, VectorizedEngine};
 use pdsm_index::{HashIndex, Index, RBTree};
 use pdsm_layout::workload::{Workload, WorkloadQuery};
-use pdsm_par::ParallelEngine;
 use pdsm_plan::expr::{CmpOp, Expr};
 use pdsm_plan::fingerprint::{pipeline_fragment, plan_fingerprint, substitute_fragment};
 use pdsm_plan::logical::LogicalPlan;
@@ -94,15 +93,11 @@ pub enum EngineKind {
     /// (MonetDB/X100 model). Supports single-table scan pipelines only —
     /// check [`EngineKind::supports`] before dispatching joins or sorts.
     Vectorized,
-    /// Morsel-driven parallel execution of the compiled pipelines
-    /// (`pdsm-par`). Thread count comes from `PDSM_THREADS` or the
-    /// machine; use [`pdsm_par::ParallelEngine::with_threads`] directly to
-    /// pin it per query.
-    Parallel,
 }
 
-/// The default parallel engine instance (automatic thread resolution).
-static PARALLEL: ParallelEngine = ParallelEngine::new();
+/// The compiled engine on one thread: what [`EngineKind::Compiled`] runs.
+/// Planned queries run it at the plan's thread count instead.
+static COMPILED: CompiledEngine = CompiledEngine::new();
 /// The default vectorized engine instance (X100's ~1k vector sweet spot).
 static VECTORIZED: VectorizedEngine = VectorizedEngine { vector_size: 1024 };
 
@@ -112,22 +107,20 @@ impl EngineKind {
         match self {
             EngineKind::Volcano => &VolcanoEngine,
             EngineKind::Bulk => &BulkEngine,
-            EngineKind::Compiled => &CompiledEngine,
+            EngineKind::Compiled => &COMPILED,
             EngineKind::Vectorized => &VECTORIZED,
-            EngineKind::Parallel => &PARALLEL,
         }
     }
 
     /// All engines, for differential testing. Test helpers should iterate
     /// this rather than naming engines, so new engines are covered
     /// everywhere automatically.
-    pub fn all() -> [EngineKind; 5] {
+    pub fn all() -> [EngineKind; 4] {
         [
             EngineKind::Volcano,
             EngineKind::Bulk,
             EngineKind::Compiled,
             EngineKind::Vectorized,
-            EngineKind::Parallel,
         ]
     }
 
@@ -151,7 +144,6 @@ impl std::fmt::Display for EngineKind {
             EngineKind::Bulk => "bulk",
             EngineKind::Compiled => "compiled",
             EngineKind::Vectorized => "vectorized",
-            EngineKind::Parallel => "parallel",
         })
     }
 }
@@ -167,9 +159,8 @@ impl std::str::FromStr for EngineKind {
             "bulk" => Ok(EngineKind::Bulk),
             "compiled" => Ok(EngineKind::Compiled),
             "vectorized" => Ok(EngineKind::Vectorized),
-            "parallel" => Ok(EngineKind::Parallel),
             other => Err(format!(
-                "unknown engine {other:?} (expected volcano|bulk|compiled|vectorized|parallel)"
+                "unknown engine {other:?} (expected volcano|bulk|compiled|vectorized)"
             )),
         }
     }
@@ -182,7 +173,6 @@ impl From<EngineChoice> for EngineKind {
             EngineChoice::Bulk => EngineKind::Bulk,
             EngineChoice::Vectorized => EngineKind::Vectorized,
             EngineChoice::Compiled => EngineKind::Compiled,
-            EngineChoice::Parallel => EngineKind::Parallel,
         }
     }
 }
@@ -194,7 +184,6 @@ impl From<EngineKind> for EngineChoice {
             EngineKind::Bulk => EngineChoice::Bulk,
             EngineKind::Vectorized => EngineChoice::Vectorized,
             EngineKind::Compiled => EngineChoice::Compiled,
-            EngineKind::Parallel => EngineChoice::Parallel,
         }
     }
 }
@@ -425,6 +414,10 @@ pub struct Database {
     /// checkpointed tables then recover *cold* (header-only) and fault
     /// extents through the pool on demand, instead of loading wholesale.
     pool: Option<Arc<BufferPool>>,
+    /// Workers the planner may split a compiled pipeline over, resolved
+    /// once at construction ([`pdsm_exec::default_threads`]: `PDSM_THREADS`
+    /// or the machine's parallelism).
+    threads: usize,
 }
 
 impl Default for Database {
@@ -453,6 +446,7 @@ impl Database {
             maintenance: MaintenanceScheduler::new(cfg),
             durability: None,
             pool: None,
+            threads: pdsm_exec::default_threads(),
         }
     }
 
@@ -1222,7 +1216,10 @@ impl Database {
                 tables.insert(name.to_string(), e.table.snapshot());
             }
         }
-        DbSnapshot { tables }
+        DbSnapshot {
+            tables,
+            threads: self.threads,
+        }
     }
 
     /// Execute `plan` with the chosen engine, without index acceleration —
@@ -1230,6 +1227,16 @@ impl Database {
     /// use. Runs over snapshots pinned at call time (no lock held during
     /// execution). Routine queries should go through [`Database::execute`].
     pub fn run(&self, plan: &LogicalPlan, engine: EngineKind) -> Result<QueryResult, DbError> {
+        self.run_with(plan, engine.engine())
+    }
+
+    /// [`Database::run`] with any engine object, e.g. the compiled engine
+    /// at a pinned thread count.
+    pub fn run_with(
+        &self,
+        plan: &LogicalPlan,
+        engine: &dyn Engine,
+    ) -> Result<QueryResult, DbError> {
         // A still-cold table streams extent-at-a-time through the buffer
         // pool when the plan shape allows it — the scan then never holds
         // more than one extent's frames pinned, so a table larger than
@@ -1239,7 +1246,7 @@ impl Database {
             return Ok(result);
         }
         let provider = self.provider_for(plan);
-        let output = engine.engine().execute(plan, &provider)?;
+        let output = engine.execute(plan, &provider)?;
         Ok(QueryResult::new(provider.output_names(plan), output))
     }
 
@@ -1296,7 +1303,11 @@ impl Database {
         if let Some(phys) = self.plan_cache.lookup(key, epoch, &deps) {
             return Ok((phys, deps, epoch));
         }
-        let phys = Arc::new(Planner::default().plan(self, plan)?);
+        let planner = Planner {
+            threads: self.threads,
+            ..Planner::default()
+        };
+        let phys = Arc::new(planner.plan(self, plan)?);
         self.plan_cache
             .insert(key.to_string(), epoch, deps.clone(), phys.clone());
         Ok((phys, deps, epoch))
@@ -1370,13 +1381,12 @@ impl Database {
         if let Ok((deps_after, epoch_after)) = self.deps_and_epoch(&phys.logical) {
             if deps_after == deps && epoch_after == epoch {
                 let result = Arc::new(result);
-                let benefit = (phys.cost.total() - phys.copy_out_cycles).max(0.0);
                 self.result_cache.admit(
                     fp,
                     epoch,
                     deps,
                     Arc::clone(&result),
-                    benefit,
+                    phys.cache_benefit(),
                     self.fragment_schema(&phys.logical),
                 );
                 return Ok((*result).clone());
@@ -1397,7 +1407,7 @@ impl Database {
             }
             // Index dropped (or reshaped) since planning — scan instead.
         }
-        self.run(&phys.logical, phys.engine.into())
+        on_planned_engine(phys, |engine| self.run_with(&phys.logical, engine))
     }
 
     /// Serve `plan` from a cached filtered-scan fragment: when `plan` is a
@@ -1741,6 +1751,7 @@ impl Database {
                 .iter()
                 .map(|(n, e)| (n.clone(), e.table.snapshot()))
                 .collect(),
+            threads: self.threads,
         }
     }
 }
@@ -1798,6 +1809,8 @@ pub(crate) struct IndexCandidate {
 #[derive(Clone)]
 pub struct DbSnapshot {
     tables: HashMap<String, Snapshot>,
+    /// The source database's thread count, for [`DbSnapshot::execute`].
+    threads: usize,
 }
 
 impl DbSnapshot {
@@ -1845,8 +1858,19 @@ impl DbSnapshot {
                 crate::planner::table_view(s.main(), s.len()),
             );
         }
-        let phys = Planner::default().plan_views(views, plan);
-        self.run(plan, phys.engine.into())
+        let planner = Planner {
+            threads: self.threads,
+            ..Planner::default()
+        };
+        let table_floats = |name: &str| {
+            self.tables
+                .get(name)
+                .map(|s| pdsm_exec::float_flags(s.main().schema()))
+                .unwrap_or_default()
+        };
+        let phys = planner.plan_views(views, plan, &table_floats);
+        let output = on_planned_engine(&phys, |engine| engine.execute(plan, self))?;
+        Ok(QueryResult::new(self.output_names(plan), output))
     }
 }
 
@@ -1857,6 +1881,15 @@ impl TableProvider for DbSnapshot {
 
     fn overlay(&self, name: &str) -> Option<Overlay<'_>> {
         self.tables.get(name).and_then(|s| s.overlay())
+    }
+}
+
+/// Call `f` with the engine `phys` was planned for: the compiled engine at
+/// the plan's thread count, any other engine as is.
+fn on_planned_engine<R>(phys: &PhysicalPlan, f: impl FnOnce(&dyn Engine) -> R) -> R {
+    match phys.engine {
+        EngineChoice::Compiled => f(&CompiledEngine::with_threads(phys.threads)),
+        other => f(EngineKind::from(other).engine()),
     }
 }
 

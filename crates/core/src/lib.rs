@@ -4,7 +4,8 @@
 //! [`Database`] catalog of vertically partitioned tables, secondary index
 //! maintenance, the cost-based [`planner`] that lowers every query to a
 //! [`pdsm_plan::physical::PhysicalPlan`] — choosing engine
-//! (Volcano / bulk / vectorized / compiled / parallel) and access path
+//! (Volcano / bulk / vectorized / compiled, the last on one or N threads)
+//! and access path
 //! (full scan vs. main-index probe + delta-tail union, §VI-B, Fig. 10)
 //! via `pdsm_cost::estimate` — and the [`advisor`] that drives the
 //! cost-model-based layout optimizer (§V). Queries enter through
@@ -53,7 +54,6 @@ pub use pdsm_exec::{
     reset_scan_counters, scan_counters, set_mode_override, QueryOutput, QueryResult, ScanCounters,
     SimdMode,
 };
-pub use pdsm_par::ParallelEngine;
 pub use pdsm_plan::physical::{AccessPath, CostSummary, EngineChoice, PhysicalPlan};
 pub use pdsm_pool::{BufferPool, PoolStats};
 pub use pdsm_store::FsyncMode;

@@ -22,7 +22,7 @@
 
 use crate::database::{Database, DbError, IndexCandidate};
 use pdsm_cost::{cost, Atom, Hierarchy, Pattern};
-use pdsm_exec::{zone_preds, VectorizedEngine};
+use pdsm_exec::{float_flags, merges_exactly, zone_preds, VectorizedEngine};
 use pdsm_index::Index;
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_plan::patterns::{emit_pattern, TableView};
@@ -42,10 +42,10 @@ pub const CPU_BULK: f64 = 10.0;
 pub const CPU_VECTORIZED: f64 = 4.0;
 /// Per-tuple CPU cycles of the compiled (fused-pipeline) model.
 pub const CPU_COMPILED: f64 = 1.5;
-/// Fixed cycles to launch, barrier and join a parallel pipeline — the
-/// reason tiny queries stay single-threaded.
+/// Fixed cycles to launch, barrier and join a multi-threaded pipeline —
+/// the reason tiny queries stay single-threaded.
 pub const PAR_FIXED_OVERHEAD: f64 = 30_000.0;
-/// Extra parallel cycles per worker (morsel-queue setup, partial merges).
+/// Extra cycles per worker (morsel-queue setup, partial merges).
 pub const PAR_PER_THREAD: f64 = 2_000.0;
 /// Cycles to reconstruct and residual-filter one index hit (full-row
 /// decode through every layout group plus interpreted predicate).
@@ -63,12 +63,12 @@ pub const CACHE_ADMIT_FACTOR: f64 = 4.0;
 pub const CACHE_MIN_REEXEC_CYCLES: f64 = 20_000.0;
 
 /// The cost-based planner. [`Planner::default`] uses the calibrated
-/// Nehalem hierarchy and the machine's worker count; pin `threads` for
-/// deterministic plans (the explain snapshot test does).
+/// Nehalem hierarchy and one thread; a `Database` plans with the thread
+/// count it resolved when it was opened.
 pub struct Planner {
     /// Memory hierarchy the cost model prices against.
     pub hierarchy: Hierarchy,
-    /// Worker threads the parallel engine would use.
+    /// Workers the compiled engine may split a pipeline over.
     pub threads: usize,
 }
 
@@ -76,7 +76,7 @@ impl Default for Planner {
     fn default() -> Self {
         Planner {
             hierarchy: Hierarchy::nehalem(),
-            threads: pdsm_par::default_threads(),
+            threads: 1,
         }
     }
 }
@@ -99,27 +99,23 @@ impl Planner {
     pub fn plan(&self, db: &Database, logical: &LogicalPlan) -> Result<PhysicalPlan, DbError> {
         let views = self.views_for(db, logical)?;
         let idx = db.index_candidate(logical);
-        self.plan_with(db, logical, views, idx)
+        let table_floats = |name: &str| {
+            db.with_table(name, |vt| float_flags(vt.schema()))
+                .unwrap_or_default()
+        };
+        Ok(self.build(Some(db), logical, views, idx, &table_floats))
     }
 
     /// Lower against prebuilt views with no index catalog (the snapshot
-    /// path): engine choice only.
+    /// path): engine choice only. `table_floats(name)` flags the `Float64`
+    /// columns of each table.
     pub fn plan_views(
         &self,
         views: HashMap<String, TableView>,
         logical: &LogicalPlan,
+        table_floats: &dyn Fn(&str) -> Vec<bool>,
     ) -> PhysicalPlan {
-        self.build(None, logical, views, None)
-    }
-
-    fn plan_with(
-        &self,
-        db: &Database,
-        logical: &LogicalPlan,
-        views: HashMap<String, TableView>,
-        idx: Option<IndexCandidate>,
-    ) -> Result<PhysicalPlan, DbError> {
-        Ok(self.build(Some(db), logical, views, idx))
+        self.build(None, logical, views, None, table_floats)
     }
 
     /// [`TableView`]s of every table `logical` references: current main
@@ -153,6 +149,7 @@ impl Planner {
         logical: &LogicalPlan,
         views: HashMap<String, TableView>,
         idx: Option<IndexCandidate>,
+        table_floats: &dyn Fn(&str) -> Vec<bool>,
     ) -> PhysicalPlan {
         let emitted = emit_pattern(logical, &views);
         let mem = cost::estimate(&emitted.pattern, &self.hierarchy).total_cycles;
@@ -160,9 +157,9 @@ impl Planner {
 
         // --- zone-map pruning: the "partitions survived" term ---
         // Blocks the main store's zone map refutes under the root selection
-        // are never touched by the compiled scan skeleton or dispensed by
-        // the morsel queue, so those two engines' memory traffic and
-        // per-tuple work shrink linearly with the surviving fraction.
+        // are never touched by the compiled engine's scans, at any thread
+        // count, so its memory traffic and per-tuple work shrink linearly
+        // with the surviving fraction.
         // Volcano/bulk/vectorized read every block and are priced unscaled.
         let (zone_blocks, zone_pruned) = zone_stats(db, logical);
         let survived = pdsm_cost::survived_fraction(zone_blocks, zone_pruned);
@@ -176,15 +173,35 @@ impl Planner {
         let (extents_total, extents_resident, extents_pruned, disk) = cold_stats(db, logical);
 
         // --- engine alternatives (all run the same full-scan pattern) ---
-        let mut engines: Vec<(EngineChoice, CostSummary)> = Vec::new();
-        engines.push((
-            EngineChoice::Compiled,
+        // The compiled engine runs on one thread, or splits its pipelines
+        // across `threads` workers for a fixed fork/join overhead. The
+        // split is priced only where it is what runs: when every aggregate
+        // merges exactly.
+        let compiled_at = |n: usize| {
+            let split = n as f64;
+            let fork_join = if n > 1 {
+                PAR_FIXED_OVERHEAD + PAR_PER_THREAD * split
+            } else {
+                0.0
+            };
             CostSummary {
-                mem_cycles: mem * survived,
-                cpu_cycles: CPU_COMPILED * work.tuples * survived,
+                mem_cycles: mem * survived / split,
+                cpu_cycles: CPU_COMPILED * work.tuples * survived / split + fork_join,
                 disk_cycles: disk,
-            },
-        ));
+            }
+        };
+        let sequential = compiled_at(1);
+        let (threads, compiled) = match self.threads {
+            n if n > 1
+                && merges_exactly(logical, table_floats)
+                && compiled_at(n).total() < sequential.total() =>
+            {
+                (n, compiled_at(n))
+            }
+            _ => (1, sequential),
+        };
+        let mut engines: Vec<(EngineChoice, CostSummary)> =
+            vec![(EngineChoice::Compiled, compiled)];
         if VectorizedEngine::supports(logical) {
             engines.push((
                 EngineChoice::Vectorized,
@@ -214,19 +231,6 @@ impl Planner {
                 disk_cycles: disk,
             },
         ));
-        // Parallel splits the compiled pipeline across workers and pays a
-        // fixed fork/join overhead.
-        let threads = self.threads.max(1) as f64;
-        engines.push((
-            EngineChoice::Parallel,
-            CostSummary {
-                mem_cycles: mem * survived / threads,
-                cpu_cycles: CPU_COMPILED * work.tuples * survived / threads
-                    + PAR_FIXED_OVERHEAD
-                    + PAR_PER_THREAD * threads,
-                disk_cycles: disk,
-            },
-        ));
 
         let (best_engine, best_engine_cost) = engines
             .iter()
@@ -238,6 +242,15 @@ impl Planner {
             .iter()
             .map(|(e, c)| (format!("scan/{e}"), c.total()))
             .collect();
+        // The cheapest one-thread alternative: the total work one
+        // re-execution costs, whatever the thread count.
+        let mut work_cycles = engines
+            .iter()
+            .map(|(e, c)| match e {
+                EngineChoice::Compiled => sequential.total(),
+                _ => c.total(),
+            })
+            .fold(f64::INFINITY, f64::min);
 
         // --- access-path alternative: index probe + delta-tail union ---
         let mut chosen_access = AccessPath::FullScan;
@@ -247,6 +260,7 @@ impl Planner {
             if let Some((mut cost, hits)) = self.index_cost(db, logical, &cand, &views) {
                 cost.disk_cycles = disk;
                 alternatives.push(("index".to_string(), cost.total()));
+                work_cycles = work_cycles.min(cost.total());
                 if cost.total() < chosen_cost.total() {
                     chosen_access = cand.access.clone();
                     chosen_cost = cost;
@@ -304,18 +318,26 @@ impl Planner {
         // ~16 bytes per Value. Admit only when re-running the chosen plan
         // is predicted CACHE_ADMIT_FACTOR× dearer than writing the result
         // once and reading it back — full-table SELECT *s (copy ≈ scan)
-        // bypass, aggregates over big scans (copy ≈ one row) admit.
+        // bypass, aggregates over big scans (copy ≈ one row) admit. A hit
+        // saves re-execution's total work, not its critical path, so
+        // admission prices `work_cycles` and never depends on the core
+        // count.
         let out_arity = logical.arity(&|t| views.get(t).map(|v| v.col_widths.len()).unwrap_or(0));
         let out_bytes = (emitted.out_rows.max(0.0) * out_arity.max(1) as f64 * 16.0) as u64;
         let copy_out = pdsm_cost::copy_out_cycles(out_bytes, &self.hierarchy);
-        let cache_admit = chosen_cost.total() >= CACHE_MIN_REEXEC_CYCLES
-            && chosen_cost.total() > CACHE_ADMIT_FACTOR * copy_out;
+        let cache_admit =
+            work_cycles >= CACHE_MIN_REEXEC_CYCLES && work_cycles > CACHE_ADMIT_FACTOR * copy_out;
 
         PhysicalPlan {
             logical: logical.clone(),
             engine: best_engine,
+            threads: match (&chosen_access, best_engine) {
+                (AccessPath::FullScan, EngineChoice::Compiled) => threads,
+                _ => 1,
+            },
             pipelines,
             cost: chosen_cost,
+            work_cycles,
             alternatives,
             est_out_rows: emitted.out_rows,
             cache_admit,
@@ -718,7 +740,7 @@ mod tests {
         assert_eq!(phys.engine, EngineChoice::Compiled);
         assert_eq!(*phys.access(), AccessPath::FullScan);
         // every engine alternative priced
-        for e in ["compiled", "vectorized", "bulk", "volcano", "parallel"] {
+        for e in ["compiled", "vectorized", "bulk", "volcano"] {
             assert!(
                 phys.cost_of(&format!("scan/{e}")).is_some(),
                 "missing alternative {e}"
@@ -727,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn many_threads_flip_large_scans_to_parallel() {
+    fn many_threads_split_large_scans() {
         let db = db(20_000);
         let plan = QueryBuilder::scan("r")
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(1))])
@@ -737,7 +759,99 @@ mod tests {
             ..Default::default()
         };
         let phys = many.plan(&db, &plan).unwrap();
-        assert_eq!(phys.engine, EngineChoice::Parallel);
+        assert_eq!(phys.engine, EngineChoice::Compiled);
+        assert_eq!(phys.threads, 16);
+        assert!(phys.explain().contains("engine: compiled (threads 16)"));
+        // one alternative per engine: the thread count is not an engine
+        assert!(phys.alternatives.iter().all(|(l, _)| l != "scan/parallel"));
+        assert_eq!(phys.cost_of("scan/compiled"), Some(phys.cost.total()));
+    }
+
+    #[test]
+    fn float_aggregates_plan_on_one_thread() {
+        let db = db(20_000);
+        db.create_table(
+            "f",
+            Schema::new(vec![
+                ColumnDef::new("k", DataType::Int32),
+                ColumnDef::new("x", DataType::Float64),
+            ]),
+        )
+        .unwrap();
+        for i in 0..20_000 {
+            db.insert("f", &[Value::Int32(i % 7), Value::Float64(i as f64 * 0.1)])
+                .unwrap();
+        }
+        let many = Planner {
+            threads: 16,
+            ..Default::default()
+        };
+        let sum = |table: &str| {
+            QueryBuilder::scan(table)
+                .aggregate(
+                    vec![Expr::col(0)],
+                    vec![AggExpr::new(AggFunc::Sum, Expr::col(1))],
+                )
+                .build()
+        };
+        // the same shape over an integer column splits
+        assert_eq!(many.plan(&db, &sum("r")).unwrap().threads, 16);
+        let phys = many.plan(&db, &sum("f")).unwrap();
+        assert_eq!((phys.engine, phys.threads), (EngineChoice::Compiled, 1));
+    }
+
+    #[test]
+    fn cache_decisions_ignore_the_thread_count() {
+        let db = db(20_000);
+        db.create_index("r", "c0", IndexKind::Hash).unwrap();
+        for plan in [
+            QueryBuilder::scan("r")
+                .filter(Expr::col(0).eq(Expr::lit(80)))
+                .build(),
+            QueryBuilder::scan("r")
+                .filter(Expr::col(0).lt(Expr::lit(80_000)))
+                .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(1))])
+                .build(),
+            QueryBuilder::scan("r").build(),
+            QueryBuilder::scan("r")
+                .filter(Expr::col(1).eq(Expr::lit(9)))
+                .build(),
+        ] {
+            let at = |threads: usize| {
+                Planner {
+                    threads,
+                    ..Default::default()
+                }
+                .plan(&db, &plan)
+                .unwrap()
+            };
+            let one = at(1);
+            for threads in [2, 16] {
+                let many = at(threads);
+                assert_eq!(many.cache_admit, one.cache_admit, "threads={threads}");
+                assert_eq!(
+                    many.cache_benefit(),
+                    one.cache_benefit(),
+                    "threads={threads}"
+                );
+                assert_eq!(many.work_cycles, one.work_cycles, "threads={threads}");
+            }
+        }
+        // the aggregate really is split at 16 threads, and still admitted
+        let split = Planner {
+            threads: 16,
+            ..Default::default()
+        }
+        .plan(
+            &db,
+            &QueryBuilder::scan("r")
+                .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(1))])
+                .build(),
+        )
+        .unwrap();
+        assert_eq!(split.threads, 16);
+        assert!(split.cache_admit);
+        assert!(split.work_cycles > split.cost.total());
     }
 
     #[test]

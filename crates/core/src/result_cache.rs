@@ -16,11 +16,13 @@
 //! epoch (bumped by every shape change) is part of validity too.
 //!
 //! Admission is the planner's job ([`PhysicalPlan`]`::cache_admit`): a
-//! plan is cacheable only when its predicted re-execution cost exceeds the
-//! priced copy-out (`pdsm_cost::copy_out_cycles`) by
+//! plan is cacheable only when its predicted re-execution work (its
+//! one-thread cost, so the decision never depends on the core count)
+//! exceeds the priced copy-out (`pdsm_cost::copy_out_cycles`) by
 //! `crate::planner::CACHE_ADMIT_FACTOR`. Eviction is byte-budgeted LRU
-//! with cost-weighted benefit: when over budget, the entry with the lowest
-//! `benefit-density × observed-reuse / recency` score goes first.
+//! with cost-weighted benefit ([`PhysicalPlan::cache_benefit`]): when over
+//! budget, the entry with the lowest `benefit-density × observed-reuse /
+//! recency` score goes first.
 //!
 //! Entries whose plan was a full-schema filtered scan (`Select(Scan)`)
 //! additionally serve *fragment reuse*: a later aggregate over the same
@@ -646,8 +648,10 @@ mod tests {
             Arc::new(PhysicalPlan {
                 logical: pdsm_plan::builder::QueryBuilder::scan("t").build(),
                 engine: pdsm_plan::physical::EngineChoice::Compiled,
+                threads: 1,
                 pipelines: vec![],
                 cost: Default::default(),
+                work_cycles: 0.0,
                 alternatives: vec![],
                 est_out_rows: 0.0,
                 cache_admit: false,

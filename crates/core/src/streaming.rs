@@ -26,8 +26,8 @@
 //! reassociate floating-point addition. Those shapes — like joins, sorts,
 //! grouped aggregates and limits — fall back to hydration.
 
-use crate::database::{Database, DbError, EngineKind};
-use pdsm_exec::engine::{Overlay, TableProvider};
+use crate::database::{Database, DbError};
+use pdsm_exec::engine::{Engine, Overlay, TableProvider};
 use pdsm_exec::{zone_preds, QueryResult};
 use pdsm_plan::expr::Expr;
 use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan};
@@ -150,7 +150,7 @@ fn merge_agg_row(acc: &mut [Value], next: &[Value], aggs: &[AggExpr]) {
 pub(crate) fn run_cold_streaming(
     db: &Database,
     plan: &LogicalPlan,
-    engine: EngineKind,
+    eng: &dyn Engine,
 ) -> Result<Option<QueryResult>, DbError> {
     let tables = plan.tables();
     let [table] = tables.as_slice() else {
@@ -168,7 +168,6 @@ pub(crate) fn run_cold_streaming(
             return Ok(None);
         }
     }
-    let eng = engine.engine();
     let skeleton = cold.skeleton();
     let zps: Vec<ZonePred> = pred
         .map(|p| zone_preds(&skeleton, std::slice::from_ref(p)))

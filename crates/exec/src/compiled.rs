@@ -19,26 +19,75 @@
 //! Enum-match dispatch inside the loop compiles to direct, predictable
 //! branches (the same target every iteration), which is the microarchitectural
 //! property the paper contrasts against Volcano's function pointers.
+//!
+//! ## Threads
+//!
+//! Morsel-driven parallelism (Leis et al., SIGMOD 2014) schedules these
+//! pipelines; it does not replace them. Every scan pipeline runs its fused
+//! loop over a row range, and one driver ([`crate::pool::drive`]) runs that
+//! loop over `0..n` on the caller's thread or over whole-zone-block
+//! morsels on [`CompiledEngine::with_threads`] scoped workers. Collected
+//! rows are stitched back in morsel order, so output order never depends
+//! on the thread count. An aggregation pipeline is split across workers
+//! only when every aggregate merges exactly ([`float_sensitive`] is false
+//! for all of them); partials then merge through [`Accumulator::merge`]
+//! or the raw-key map. Any other aggregation runs on one thread. Every
+//! output bit is therefore identical at any thread count, and one thread
+//! is the sequential engine by construction.
 
 use crate::engine::{
     agg_tail_update, fig2c_tail_fold, masked_tail_row, tail_defeats_raw_keys, tail_raw_key,
     tail_row_passes, Accumulator, Engine, ExecError, Overlay, TableProvider,
 };
 use crate::keys::GroupKey;
+use crate::morsel::rows_per_morsel;
+use crate::pool::drive;
 use crate::result::QueryOutput;
 use crate::simd;
 use pdsm_plan::expr::{CmpOp, Expr};
-use pdsm_plan::logical::{AggExpr, LogicalPlan};
+use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan};
 use pdsm_storage::dictionary::like_match;
 use pdsm_storage::partition::{F64Col, I32Col, I64Col, U32Col};
 use pdsm_storage::types::cmp_values;
-use pdsm_storage::{ColId, DataType, Table, Value, ZoneMap, ZoneOp, ZonePred, ZONE_BLOCK_ROWS};
+use pdsm_storage::{
+    ColId, DataType, Schema, Table, Value, ZoneMap, ZoneOp, ZonePred, ZONE_BLOCK_ROWS,
+};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// The compiled engine.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CompiledEngine;
+/// The compiled engine, running each scan pipeline on up to `threads`
+/// workers (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct CompiledEngine {
+    threads: usize,
+}
+
+impl CompiledEngine {
+    /// The single-threaded engine.
+    pub const fn new() -> Self {
+        CompiledEngine { threads: 1 }
+    }
+
+    /// The engine with up to `threads` workers per pipeline (0 counts as 1).
+    pub const fn with_threads(threads: usize) -> Self {
+        CompiledEngine {
+            threads: if threads == 0 { 1 } else { threads },
+        }
+    }
+
+    /// Workers per pipeline.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+}
+
+impl Default for CompiledEngine {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl Engine for CompiledEngine {
     fn name(&self) -> &'static str {
@@ -52,7 +101,7 @@ impl Engine for CompiledEngine {
     ) -> Result<QueryOutput, ExecError> {
         let width = |t: &str| db.table(t).map(|tb| tb.schema().len()).unwrap_or(0);
         let required = plan.required_columns(&width);
-        let rows = exec(plan, db, &required)?;
+        let rows = exec(plan, db, &required, self.threads)?;
         Ok(QueryOutput { rows })
     }
 }
@@ -573,6 +622,115 @@ impl<'t> PredKernel<'t> {
 }
 
 // ---------------------------------------------------------------------------
+// merge exactness
+// ---------------------------------------------------------------------------
+
+/// True when merging partials of `agg` could reassociate float addition
+/// and so change output bits: float inputs, or `avg` (which always finishes
+/// through the float running sum, where partial int sums beyond 2^53 round
+/// order-dependently). Count never inspects magnitudes and integer sums
+/// finish through the exact integer sum, so those merge freely. `floats`
+/// flags the float columns of the rows `agg` reads.
+pub fn float_sensitive(agg: &AggExpr, floats: &[bool]) -> bool {
+    match agg.func {
+        AggFunc::Count => false,
+        AggFunc::Avg => true,
+        _ => agg.arg.as_ref().is_some_and(|e| touches_float(e, floats)),
+    }
+}
+
+/// True when every aggregate in `plan` merges exactly across workers — the
+/// condition under which the compiled engine splits an aggregation
+/// pipeline over more than one thread. `table_floats(name)` flags the
+/// `Float64` columns of table `name`.
+pub fn merges_exactly(plan: &LogicalPlan, table_floats: &dyn Fn(&str) -> Vec<bool>) -> bool {
+    match plan {
+        LogicalPlan::Scan { .. } => true,
+        LogicalPlan::Aggregate { input, aggs, .. } => {
+            aggs_merge_exactly(input, aggs, table_floats) && merges_exactly(input, table_floats)
+        }
+        LogicalPlan::Join { left, right, .. } => {
+            merges_exactly(left, table_floats) && merges_exactly(right, table_floats)
+        }
+        LogicalPlan::Select { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => merges_exactly(input, table_floats),
+    }
+}
+
+fn aggs_merge_exactly(
+    input: &LogicalPlan,
+    aggs: &[AggExpr],
+    table_floats: &dyn Fn(&str) -> Vec<bool>,
+) -> bool {
+    let floats = float_columns(input, table_floats);
+    !aggs.iter().any(|a| float_sensitive(a, &floats))
+}
+
+/// Which output columns of `plan` may carry a float.
+fn float_columns(plan: &LogicalPlan, table_floats: &dyn Fn(&str) -> Vec<bool>) -> Vec<bool> {
+    match plan {
+        LogicalPlan::Scan { table } => table_floats(table),
+        LogicalPlan::Select { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => float_columns(input, table_floats),
+        LogicalPlan::Project { input, exprs } => {
+            let floats = float_columns(input, table_floats);
+            exprs.iter().map(|e| touches_float(e, &floats)).collect()
+        }
+        LogicalPlan::Join { left, right, .. } => {
+            let mut floats = float_columns(left, table_floats);
+            floats.extend(float_columns(right, table_floats));
+            floats
+        }
+        LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => {
+            let floats = float_columns(input, table_floats);
+            group_by
+                .iter()
+                .map(|g| touches_float(g, &floats))
+                .chain(aggs.iter().map(|a| float_sensitive(a, &floats)))
+                .collect()
+        }
+    }
+}
+
+/// Does `e` read a float column or a float literal?
+fn touches_float(e: &Expr, floats: &[bool]) -> bool {
+    match e {
+        Expr::Col(c) => floats.get(*c).copied().unwrap_or(true),
+        Expr::Lit(v) => matches!(v, Value::Float64(_)),
+        Expr::Cmp { left, right, .. }
+        | Expr::Arith { left, right, .. }
+        | Expr::And(left, right)
+        | Expr::Or(left, right) => touches_float(left, floats) || touches_float(right, floats),
+        Expr::Not(a) | Expr::IsNull(a) | Expr::Like { expr: a, .. } => touches_float(a, floats),
+    }
+}
+
+/// The `Float64` flags of a schema's columns: what [`merges_exactly`]
+/// asks of each table.
+pub fn float_flags(schema: &Schema) -> Vec<bool> {
+    schema
+        .columns()
+        .iter()
+        .map(|c| c.ty == DataType::Float64)
+        .collect()
+}
+
+/// The `Float64` flags of a provider's table (empty when it is missing;
+/// the scan reports the unknown table).
+fn table_floats(db: &dyn TableProvider, name: &str) -> Vec<bool> {
+    db.table(name)
+        .map(|t| float_flags(t.schema()))
+        .unwrap_or_default()
+}
+
+// ---------------------------------------------------------------------------
 // pipelines
 // ---------------------------------------------------------------------------
 
@@ -601,16 +759,34 @@ enum Fragment {
 }
 
 /// Sinks consume survivor rows.
-enum Sink {
+enum Sink<'p> {
     Collect(Vec<Vec<Value>>),
     Agg {
-        group_by: Vec<Expr>,
-        aggs: Vec<AggExpr>,
+        group_by: &'p [Expr],
+        aggs: &'p [AggExpr],
         groups: HashMap<GroupKey, (Vec<Value>, Vec<Accumulator>)>,
     },
 }
 
-impl Sink {
+fn fresh_accs(aggs: &[AggExpr]) -> Vec<Accumulator> {
+    aggs.iter().map(|a| Accumulator::new(a.func)).collect()
+}
+
+fn merge_accs(into: &mut [Accumulator], from: &[Accumulator]) {
+    for (mine, theirs) in into.iter_mut().zip(from) {
+        mine.merge(theirs);
+    }
+}
+
+impl<'p> Sink<'p> {
+    fn agg(group_by: &'p [Expr], aggs: &'p [AggExpr]) -> Self {
+        Sink::Agg {
+            group_by,
+            aggs,
+            groups: HashMap::new(),
+        }
+    }
+
     fn consume(&mut self, row: Vec<Value>) {
         match self {
             Sink::Collect(rows) => rows.push(row),
@@ -621,12 +797,9 @@ impl Sink {
             } => {
                 let key_vals: Vec<Value> = group_by.iter().map(|g| g.eval(&row[..])).collect();
                 let key = GroupKey::of(&key_vals);
-                let entry = groups.entry(key).or_insert_with(|| {
-                    (
-                        key_vals.clone(),
-                        aggs.iter().map(|a| Accumulator::new(a.func)).collect(),
-                    )
-                });
+                let entry = groups
+                    .entry(key)
+                    .or_insert_with(|| (key_vals.clone(), fresh_accs(aggs)));
                 for (acc, spec) in entry.1.iter_mut().zip(aggs.iter()) {
                     match &spec.arg {
                         Some(e) => acc.update(&e.eval(&row[..])),
@@ -634,6 +807,45 @@ impl Sink {
                     }
                 }
             }
+        }
+    }
+
+    /// An empty sink of the same kind: one morsel's or worker's partial.
+    fn fresh(&self) -> Sink<'p> {
+        match self {
+            Sink::Collect(_) => Sink::Collect(Vec::new()),
+            Sink::Agg { group_by, aggs, .. } => Sink::agg(group_by, aggs),
+        }
+    }
+
+    /// Fold in a partial covering later rows. Collected rows append;
+    /// aggregate states merge through [`Accumulator::merge`], which is
+    /// exact only for aggregates [`float_sensitive`] clears — callers run
+    /// any other aggregation on one thread, with a single partial.
+    fn absorb(&mut self, part: Sink<'p>) {
+        match (self, part) {
+            (Sink::Collect(rows), Sink::Collect(mut more)) => {
+                if rows.is_empty() {
+                    *rows = more;
+                } else {
+                    rows.append(&mut more);
+                }
+            }
+            (Sink::Agg { groups, .. }, Sink::Agg { groups: more, .. }) => {
+                if groups.is_empty() {
+                    *groups = more;
+                    return;
+                }
+                for (key, (key_vals, accs)) in more {
+                    match groups.entry(key) {
+                        Entry::Vacant(v) => {
+                            v.insert((key_vals, accs));
+                        }
+                        Entry::Occupied(mut o) => merge_accs(&mut o.get_mut().1, &accs),
+                    }
+                }
+            }
+            _ => unreachable!("a partial is always fresh() from the sink it folds into"),
         }
     }
 
@@ -646,9 +858,7 @@ impl Sink {
                 groups,
             } => {
                 if groups.is_empty() && group_by.is_empty() {
-                    let accs: Vec<Accumulator> =
-                        aggs.iter().map(|a| Accumulator::new(a.func)).collect();
-                    return vec![accs.iter().map(|a| a.finish()).collect()];
+                    return vec![fresh_accs(aggs).iter().map(|a| a.finish()).collect()];
                 }
                 groups
                     .into_values()
@@ -663,7 +873,7 @@ impl Sink {
 }
 
 /// Recursively push `row` through `steps[step_idx..]` into the sink.
-fn push_row(row: Vec<Value>, steps: &[Step], sink: &mut Sink) {
+fn push_row(row: Vec<Value>, steps: &[Step], sink: &mut Sink<'_>) {
     match steps.first() {
         None => sink.consume(row),
         Some(Step::Project(exprs)) => {
@@ -691,69 +901,144 @@ fn push_row(row: Vec<Value>, steps: &[Step], sink: &mut Sink) {
     }
 }
 
+/// One table scan, compiled once and shared by every worker: typed
+/// predicate kernels, the snapshot's tombstones, and zone-map pruning.
+struct Scan<'t> {
+    table: &'t Table,
+    dead: &'t [bool],
+    kernels: Vec<PredKernel<'t>>,
+    zpreds: Vec<ZonePred>,
+    zones: Option<Arc<ZoneMap>>,
+    wide: bool,
+}
+
+impl<'t> Scan<'t> {
+    fn new(table: &'t Table, overlay: Option<&Overlay<'t>>, preds: &[Expr]) -> Self {
+        let zpreds = zone_preds(table, preds);
+        Scan {
+            table,
+            dead: overlay.map(|o| o.dead).unwrap_or(&[]),
+            kernels: preds.iter().map(|p| compile_pred(table, p)).collect(),
+            zones: prunable_zones(table, &zpreds),
+            zpreds,
+            wide: simd::wide_enabled(simd::mode()),
+        }
+    }
+
+    /// True when some predicate fell back to the interpreter — the typed
+    /// aggregation fast paths would gain nothing over the generic sink.
+    fn interpreted(&self) -> bool {
+        self.kernels
+            .iter()
+            .any(|k| matches!(k, PredKernel::Interp { .. }))
+    }
+
+    /// Call `f(start, end)` for each maximal run of zone blocks of `rows`
+    /// (which start on a block boundary) that the zone map does not
+    /// refute — the whole range when nothing prunes.
+    fn blocks(&self, rows: Range<usize>, mut f: impl FnMut(usize, usize)) {
+        debug_assert_eq!(
+            rows.start % ZONE_BLOCK_ROWS,
+            0,
+            "morsels are whole zone blocks"
+        );
+        let mut run = rows.start;
+        if let Some(z) = &self.zones {
+            let (mut scanned, mut pruned) = (0u64, 0u64);
+            for b in rows.start / ZONE_BLOCK_ROWS..rows.end.div_ceil(ZONE_BLOCK_ROWS) {
+                if !z.block_refuted(b, &self.zpreds) {
+                    scanned += 1;
+                    continue;
+                }
+                pruned += 1;
+                if run < b * ZONE_BLOCK_ROWS {
+                    f(run, b * ZONE_BLOCK_ROWS);
+                }
+                run = (b + 1) * ZONE_BLOCK_ROWS;
+            }
+            simd::note_blocks(scanned, pruned);
+        }
+        if run < rows.end {
+            f(run, rows.end);
+        }
+    }
+
+    /// Call `f(i)`, in row order, for every live row of `rows` that passes
+    /// every kernel. Kernels evaluate 64-row sub-blocks to bitmasks.
+    #[inline(always)]
+    fn survivors(&self, rows: Range<usize>, mut f: impl FnMut(usize)) {
+        let mut stats = simd::ChunkStats::default();
+        self.blocks(rows, |bs, be| {
+            let mut sub = bs;
+            while sub < be {
+                let len = (be - sub).min(64);
+                let mut mask = simd::ones(len);
+                if !self.dead.is_empty() {
+                    for (j, &d) in self.dead[sub..sub + len].iter().enumerate() {
+                        mask &= !((d as u64) << j);
+                    }
+                }
+                for k in &self.kernels {
+                    if mask == 0 {
+                        break;
+                    }
+                    mask &= k.block_mask(sub, len, self.wide, &mut stats);
+                }
+                while mask != 0 {
+                    f(sub + mask.trailing_zeros() as usize);
+                    mask &= mask - 1;
+                }
+                sub += len;
+            }
+        });
+        stats.flush();
+    }
+}
+
 /// Run a fused pipeline: one loop over the scan, kernels first, survivors
-/// through the steps into the sink. With an [`Overlay`], tombstoned rows
-/// are skipped and the live tail rows run through the same steps after the
-/// main loop (predicates interpreted: tail rows are decoded, not
-/// dictionary-coded).
-fn run_pipeline(
-    table: &Table,
-    overlay: Option<Overlay<'_>>,
+/// through the steps into the sink, driven over `threads` workers. Collect
+/// sinks buffer each morsel apart and stitch in morsel order; aggregate
+/// sinks fold each worker's morsels into one partial (callers pass one
+/// thread unless the aggregates merge exactly). With an [`Overlay`],
+/// tombstoned rows are skipped and the live tail rows run through the same
+/// steps after the main rows (predicates interpreted: tail rows are
+/// decoded, not dictionary-coded).
+fn run_pipeline<'p>(
+    scan: &Scan<'_>,
+    overlay: Option<&Overlay<'_>>,
     preds: &[Expr],
     steps: &[Step],
     needed: &[ColId],
-    mut sink: Sink,
+    mut sink: Sink<'p>,
+    threads: usize,
 ) -> Vec<Vec<Value>> {
-    let kernels: Vec<PredKernel<'_>> = preds.iter().map(|p| compile_pred(table, p)).collect();
+    let table = scan.table;
     let width = table.schema().len();
-    let n = table.len();
-    let dead: &[bool] = overlay.as_ref().map(|o| o.dead).unwrap_or(&[]);
-    // Probe steps whose key reads columns this scan must supply are included
-    // in `needed` by the caller.
-    let wide = simd::wide_enabled(simd::mode());
-    let mut stats = simd::ChunkStats::default();
-    let zpreds = zone_preds(table, preds);
-    let zones = prunable_zones(table, &zpreds);
-    let (mut scanned, mut pruned) = (0u64, 0u64);
-    for b in 0..n.div_ceil(ZONE_BLOCK_ROWS) {
-        let (bs, be) = (b * ZONE_BLOCK_ROWS, ((b + 1) * ZONE_BLOCK_ROWS).min(n));
-        if let Some(z) = &zones {
-            if z.block_refuted(b, &zpreds) {
-                pruned += 1;
-                continue;
+    let per_worker = drive(
+        table.len(),
+        rows_per_morsel(table),
+        threads,
+        Vec::new,
+        |parts: &mut Vec<(usize, Sink<'p>)>, m| {
+            if parts.is_empty() || matches!(sink, Sink::Collect(_)) {
+                parts.push((m.index, sink.fresh()));
             }
-            scanned += 1;
-        }
-        let mut sub = bs;
-        while sub < be {
-            let len = (be - sub).min(64);
-            let mut mask = simd::ones(len);
-            if !dead.is_empty() {
-                for (j, &d) in dead[sub..sub + len].iter().enumerate() {
-                    mask &= !((d as u64) << j);
-                }
-            }
-            for k in &kernels {
-                if mask == 0 {
-                    break;
-                }
-                mask &= k.block_mask(sub, len, wide, &mut stats);
-            }
-            while mask != 0 {
-                let i = sub + mask.trailing_zeros() as usize;
-                mask &= mask - 1;
+            let part = &mut parts.last_mut().expect("a partial was just ensured").1;
+            scan.survivors(m.rows(), |i| {
                 let mut row = vec![Value::Null; width];
                 for &c in needed {
                     row[c] = table.get(i, c).expect("in-range");
                 }
-                push_row(row, steps, &mut sink);
-            }
-            sub += len;
-        }
+                push_row(row, steps, part);
+            });
+        },
+    );
+    let mut parts: Vec<(usize, Sink<'p>)> = per_worker.into_iter().flatten().collect();
+    parts.sort_unstable_by_key(|(index, _)| *index);
+    for (_, part) in parts {
+        sink.absorb(part);
     }
-    stats.flush();
-    simd::note_blocks(scanned, pruned);
-    if let Some(o) = &overlay {
+    if let Some(o) = overlay {
         for r in o.live_tail() {
             if !tail_row_passes(preds, r) {
                 continue;
@@ -764,46 +1049,36 @@ fn run_pipeline(
     sink.finish()
 }
 
-/// The Fig.-2c special case: conjunctive typed predicates + scalar
-/// column aggregates, no steps. Runs with **zero** per-survivor heap
-/// allocation: values go straight from partition readers into accumulators.
-enum AggReader<'t> {
-    I32(I32Col<'t>, Option<ColId>),
-    I64(I64Col<'t>, Option<ColId>),
-    F64(F64Col<'t>, Option<ColId>),
-    CountStar,
-}
-
 /// The literal Fig. 2c kernel: one `i32` comparison predicate, scalar `sum`s
 /// over non-nullable `i32` columns. Compiles to a single branch + a handful
 /// of adds per tuple — the code HyPer's LLVM backend would emit. With an
 /// overlay, the typed loop additionally skips tombstones and the (decoded)
-/// tail rows fold into the same running sums afterwards.
+/// tail rows fold into the same running sums afterwards. Integer partials
+/// merge by addition, which is exact at any thread count.
 fn fig2c_kernel(
-    table: &Table,
+    scan: &Scan<'_>,
     overlay: Option<&Overlay<'_>>,
     preds: &[Expr],
     aggs: &[AggExpr],
+    threads: usize,
 ) -> Option<Vec<Vec<Value>>> {
-    if preds.len() != 1 {
+    let [PredKernel::I32Cmp {
+        r: pr,
+        op,
+        v: pv,
+        null_col: None,
+        ..
+    }] = scan.kernels.as_slice()
+    else {
         return None;
-    }
-    let k = compile_pred(table, &preds[0]);
-    let (pr, op, pv) = match k {
-        PredKernel::I32Cmp {
-            r,
-            op,
-            v,
-            null_col: None,
-            ..
-        } => (r, op, v),
-        _ => return None,
     };
+    let (op, pv) = (*op, *pv);
+    let table = scan.table;
     let mut readers = Vec::with_capacity(aggs.len());
     let mut agg_cols = Vec::with_capacity(aggs.len());
     for a in aggs {
         match &a.arg {
-            Some(Expr::Col(c)) if a.func == pdsm_plan::logical::AggFunc::Sum => {
+            Some(Expr::Col(c)) if a.func == AggFunc::Sum => {
                 let def = &table.schema().columns()[*c];
                 if def.ty != DataType::Int32 || def.nullable {
                     return None;
@@ -814,49 +1089,48 @@ fn fig2c_kernel(
             _ => return None,
         }
     }
-    let n = table.len();
-    let dead: &[bool] = overlay.map(|o| o.dead).unwrap_or(&[]);
-    let mut sums = vec![0i64; readers.len()];
-    let mut hits = 0u64;
-    let wide = simd::wide_enabled(simd::mode());
-    let mut stats = simd::ChunkStats::default();
     // Dense slices exist when each column lives alone in its partition
     // (column / suitable hybrid layouts) — that is where the fused wide
     // kernel applies. Tombstoned scans keep the scalar path.
     let pred_slice = pr.as_slice();
     let agg_slices: Option<Vec<&[i32]>> = readers.iter().map(|r| r.as_slice()).collect();
-    let zpreds = zone_preds(table, preds);
-    let zones = prunable_zones(table, &zpreds);
-    let (mut scanned, mut pruned) = (0u64, 0u64);
-    for b in 0..n.div_ceil(ZONE_BLOCK_ROWS) {
-        let (bs, be) = (b * ZONE_BLOCK_ROWS, ((b + 1) * ZONE_BLOCK_ROWS).min(n));
-        if let Some(z) = &zones {
-            if z.block_refuted(b, &zpreds) {
-                pruned += 1;
-                continue;
-            }
-            scanned += 1;
+    let partials = drive(
+        table.len(),
+        rows_per_morsel(table),
+        threads,
+        || (0u64, vec![0i64; readers.len()]),
+        |(hits, sums), m| {
+            let mut stats = simd::ChunkStats::default();
+            scan.blocks(m.rows(), |bs, be| {
+                if scan.dead.is_empty() {
+                    if let (Some(ps), Some(ags)) = (pred_slice, agg_slices.as_ref()) {
+                        let tails: Vec<&[i32]> = ags.iter().map(|a| &a[bs..be]).collect();
+                        *hits += simd::fused_filter_sum_i32(
+                            &ps[bs..be],
+                            op,
+                            pv,
+                            &tails,
+                            sums,
+                            scan.wide,
+                            &mut stats,
+                        );
+                        return;
+                    }
+                }
+                stats.scalar += (be - bs).div_ceil(simd::CHUNK_ROWS) as u64;
+                fig2c_scan_rows(pr, op, pv, &readers, scan.dead, bs, be, sums, hits);
+            });
+            stats.flush();
+        },
+    );
+    let mut partials = partials.into_iter();
+    let (mut hits, mut sums) = partials.next().expect("the driver yields a partial");
+    for (h, part) in partials {
+        hits += h;
+        for (s, p) in sums.iter_mut().zip(part) {
+            *s += p;
         }
-        if dead.is_empty() {
-            if let (Some(ps), Some(ags)) = (pred_slice, agg_slices.as_ref()) {
-                let tails: Vec<&[i32]> = ags.iter().map(|a| &a[bs..be]).collect();
-                hits += simd::fused_filter_sum_i32(
-                    &ps[bs..be],
-                    op,
-                    pv,
-                    &tails,
-                    &mut sums,
-                    wide,
-                    &mut stats,
-                );
-                continue;
-            }
-        }
-        stats.scalar += (be - bs).div_ceil(simd::CHUNK_ROWS) as u64;
-        fig2c_scan_rows(&pr, op, pv, &readers, dead, bs, be, &mut sums, &mut hits);
     }
-    stats.flush();
-    simd::note_blocks(scanned, pruned);
     fig2c_tail_fold(overlay, preds, &agg_cols, &mut sums, &mut hits);
     let row: Vec<Value> = sums
         .into_iter()
@@ -909,6 +1183,61 @@ fn fig2c_scan_rows(
     }
 }
 
+/// Typed reader feeding one accumulator straight from a partition — zero
+/// per-survivor heap allocation.
+enum AggReader<'t> {
+    I32(I32Col<'t>, Option<ColId>),
+    I64(I64Col<'t>, Option<ColId>),
+    F64(F64Col<'t>, Option<ColId>),
+    CountStar,
+}
+
+impl AggReader<'_> {
+    /// Feed main row `i` into `acc`, skipping NULLs.
+    #[inline(always)]
+    fn update(&self, table: &Table, i: usize, acc: &mut Accumulator) {
+        match self {
+            AggReader::CountStar => acc.update_i64(1),
+            AggReader::I32(r, nc) => {
+                if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
+                    acc.update_i64(r.get(i) as i64);
+                }
+            }
+            AggReader::I64(r, nc) => {
+                if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
+                    acc.update_i64(r.get(i));
+                }
+            }
+            AggReader::F64(r, nc) => {
+                if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
+                    acc.update_f64(r.get(i));
+                }
+            }
+        }
+    }
+}
+
+/// Typed readers for aggregates over plain non-string columns (or
+/// `count(*)`); `None` when any aggregate needs the generic sink.
+fn agg_readers<'t>(table: &'t Table, aggs: &[AggExpr]) -> Option<Vec<AggReader<'t>>> {
+    aggs.iter()
+        .map(|a| match &a.arg {
+            None => Some(AggReader::CountStar),
+            Some(Expr::Col(c)) => {
+                let def = &table.schema().columns()[*c];
+                let nc = def.nullable.then_some(*c);
+                match def.ty {
+                    DataType::Int32 => Some(AggReader::I32(table.i32_reader(*c), nc)),
+                    DataType::Int64 => Some(AggReader::I64(table.i64_reader(*c), nc)),
+                    DataType::Float64 => Some(AggReader::F64(table.f64_reader(*c), nc)),
+                    DataType::Str => None,
+                }
+            }
+            Some(_) => None,
+        })
+        .collect()
+}
+
 /// Typed reader over a single-column group key.
 enum KeyReader<'t> {
     I32(I32Col<'t>),
@@ -916,144 +1245,32 @@ enum KeyReader<'t> {
     Code(U32Col<'t>, ColId),
 }
 
-/// Grouped-aggregation fast path: a single plain-column group key and
-/// plain-column aggregate arguments. Keys hash as raw `u64`s (no per-row
-/// `Value` allocation, no byte-key serialization) — the compiled engine's
-/// group-by loop, as HyPer's generated code would do it. Overlay tombstones
-/// are skipped in the typed loop and tail rows fold in afterwards; if a tail
-/// row carries a group-key string the main dictionary has never seen, there
-/// is no raw code for it and the caller falls back to the generic path.
-fn grouped_agg_fast_path(
-    table: &Table,
-    overlay: Option<&Overlay<'_>>,
-    preds: &[Expr],
-    group_by: &[Expr],
-    aggs: &[AggExpr],
-) -> Option<Vec<Vec<Value>>> {
-    let [Expr::Col(key_col)] = group_by else {
-        return None;
-    };
-    let key_def = &table.schema().columns()[*key_col];
-    if key_def.nullable {
-        return None;
-    }
-    let key = match key_def.ty {
-        DataType::Int32 => KeyReader::I32(table.i32_reader(*key_col)),
-        DataType::Int64 => KeyReader::I64(table.i64_reader(*key_col)),
-        DataType::Str => KeyReader::Code(table.str_code_reader(*key_col), *key_col),
-        DataType::Float64 => return None,
-    };
-    if tail_defeats_raw_keys(table, *key_col, overlay) {
-        return None;
-    }
-    let mut readers = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        match &a.arg {
-            None => readers.push(AggReader::CountStar),
-            Some(Expr::Col(c)) => {
-                let def = &table.schema().columns()[*c];
-                let nc = def.nullable.then_some(*c);
-                match def.ty {
-                    DataType::Int32 => readers.push(AggReader::I32(table.i32_reader(*c), nc)),
-                    DataType::Int64 => readers.push(AggReader::I64(table.i64_reader(*c), nc)),
-                    DataType::Float64 => readers.push(AggReader::F64(table.f64_reader(*c), nc)),
-                    DataType::Str => return None,
-                }
-            }
-            Some(_) => return None,
+impl KeyReader<'_> {
+    /// Reader over non-nullable integer or string key column `c`.
+    fn open(table: &Table, c: ColId) -> Option<KeyReader<'_>> {
+        let def = &table.schema().columns()[c];
+        if def.nullable {
+            return None;
+        }
+        match def.ty {
+            DataType::Int32 => Some(KeyReader::I32(table.i32_reader(c))),
+            DataType::Int64 => Some(KeyReader::I64(table.i64_reader(c))),
+            DataType::Str => Some(KeyReader::Code(table.str_code_reader(c), c)),
+            DataType::Float64 => None,
         }
     }
-    let kernels: Vec<PredKernel<'_>> = preds.iter().map(|p| compile_pred(table, p)).collect();
-    if kernels
-        .iter()
-        .any(|k| matches!(k, PredKernel::Interp { .. }))
-    {
-        return None;
-    }
-    let mut groups: HashMap<u64, Vec<Accumulator>> = HashMap::new();
-    let n = table.len();
-    let dead: &[bool] = overlay.map(|o| o.dead).unwrap_or(&[]);
-    let wide = simd::wide_enabled(simd::mode());
-    let mut stats = simd::ChunkStats::default();
-    let zpreds = zone_preds(table, preds);
-    let zones = prunable_zones(table, &zpreds);
-    let (mut scanned, mut pruned) = (0u64, 0u64);
-    for b in 0..n.div_ceil(ZONE_BLOCK_ROWS) {
-        let (bs, be) = (b * ZONE_BLOCK_ROWS, ((b + 1) * ZONE_BLOCK_ROWS).min(n));
-        if let Some(z) = &zones {
-            if z.block_refuted(b, &zpreds) {
-                pruned += 1;
-                continue;
-            }
-            scanned += 1;
-        }
-        let mut sub = bs;
-        while sub < be {
-            let len = (be - sub).min(64);
-            let mut mask = simd::ones(len);
-            if !dead.is_empty() {
-                for (j, &d) in dead[sub..sub + len].iter().enumerate() {
-                    mask &= !((d as u64) << j);
-                }
-            }
-            for k in &kernels {
-                if mask == 0 {
-                    break;
-                }
-                mask &= k.block_mask(sub, len, wide, &mut stats);
-            }
-            while mask != 0 {
-                let i = sub + mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let raw_key = match &key {
-                    KeyReader::I32(r) => r.get(i) as i64 as u64,
-                    KeyReader::I64(r) => r.get(i) as u64,
-                    KeyReader::Code(r, _) => r.get(i) as u64,
-                };
-                let accs = groups
-                    .entry(raw_key)
-                    .or_insert_with(|| aggs.iter().map(|a| Accumulator::new(a.func)).collect());
-                for (acc, rd) in accs.iter_mut().zip(readers.iter()) {
-                    match rd {
-                        AggReader::CountStar => acc.update_i64(1),
-                        AggReader::I32(r, nc) => {
-                            if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                                acc.update_i64(r.get(i) as i64);
-                            }
-                        }
-                        AggReader::I64(r, nc) => {
-                            if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                                acc.update_i64(r.get(i));
-                            }
-                        }
-                        AggReader::F64(r, nc) => {
-                            if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                                acc.update_f64(r.get(i));
-                            }
-                        }
-                    }
-                }
-            }
-            sub += len;
+
+    #[inline(always)]
+    fn raw(&self, i: usize) -> u64 {
+        match self {
+            KeyReader::I32(r) => r.get(i) as i64 as u64,
+            KeyReader::I64(r) => r.get(i) as u64,
+            KeyReader::Code(r, _) => r.get(i) as u64,
         }
     }
-    stats.flush();
-    simd::note_blocks(scanned, pruned);
-    if let Some(o) = overlay {
-        for r in o.live_tail() {
-            if !tail_row_passes(preds, r) {
-                continue;
-            }
-            let raw_key = tail_raw_key(table, *key_col, &r.values()[*key_col])
-                .expect("tail keys checked before entering the fast path");
-            let accs = groups
-                .entry(raw_key)
-                .or_insert_with(|| aggs.iter().map(|a| Accumulator::new(a.func)).collect());
-            agg_tail_update(aggs, r, accs);
-        }
-    }
-    let decode_key = |raw: u64| -> Value {
-        match &key {
+
+    fn decode(&self, table: &Table, raw: u64) -> Value {
+        match self {
             // Int32 keys must decode as Int32 to match the generic path.
             KeyReader::I32(_) => Value::Int32(raw as i64 as i32),
             KeyReader::I64(_) => Value::Int64(raw as i64),
@@ -1065,12 +1282,79 @@ fn grouped_agg_fast_path(
                     .to_owned(),
             ),
         }
+    }
+}
+
+/// Grouped-aggregation fast path: a single plain-column group key and
+/// plain-column aggregate arguments. Keys hash as raw `u64`s (no per-row
+/// `Value` allocation, no byte-key serialization) — the compiled engine's
+/// group-by loop, as HyPer's generated code would do it. Worker partials
+/// merge by raw key. Overlay tombstones are skipped in the typed loop and
+/// tail rows fold in afterwards; if a tail row carries a group-key string
+/// the main dictionary has never seen, there is no raw code for it and the
+/// caller falls back to the generic path.
+fn grouped_agg_fast_path(
+    scan: &Scan<'_>,
+    overlay: Option<&Overlay<'_>>,
+    preds: &[Expr],
+    group_by: &[Expr],
+    aggs: &[AggExpr],
+    threads: usize,
+) -> Option<Vec<Vec<Value>>> {
+    let table = scan.table;
+    let [Expr::Col(key_col)] = group_by else {
+        return None;
     };
+    let key = KeyReader::open(table, *key_col)?;
+    if tail_defeats_raw_keys(table, *key_col, overlay) {
+        return None;
+    }
+    let readers = agg_readers(table, aggs)?;
+    if scan.interpreted() {
+        return None;
+    }
+    let partials = drive(
+        table.len(),
+        rows_per_morsel(table),
+        threads,
+        HashMap::new,
+        |groups: &mut HashMap<u64, Vec<Accumulator>>, m| {
+            scan.survivors(m.rows(), |i| {
+                let accs = groups.entry(key.raw(i)).or_insert_with(|| fresh_accs(aggs));
+                for (acc, rd) in accs.iter_mut().zip(readers.iter()) {
+                    rd.update(table, i, acc);
+                }
+            });
+        },
+    );
+    let mut partials = partials.into_iter();
+    let mut groups = partials.next().expect("the driver yields a partial");
+    for part in partials {
+        for (raw, accs) in part {
+            match groups.entry(raw) {
+                Entry::Vacant(v) => {
+                    v.insert(accs);
+                }
+                Entry::Occupied(mut o) => merge_accs(o.get_mut(), &accs),
+            }
+        }
+    }
+    if let Some(o) = overlay {
+        for r in o.live_tail() {
+            if !tail_row_passes(preds, r) {
+                continue;
+            }
+            let raw_key = tail_raw_key(table, *key_col, &r.values()[*key_col])
+                .expect("tail keys checked before entering the fast path");
+            let accs = groups.entry(raw_key).or_insert_with(|| fresh_accs(aggs));
+            agg_tail_update(aggs, r, accs);
+        }
+    }
     Some(
         groups
             .into_iter()
             .map(|(raw, accs)| {
-                let mut row = vec![decode_key(raw)];
+                let mut row = vec![key.decode(table, raw)];
                 row.extend(accs.iter().map(|a| a.finish()));
                 row
             })
@@ -1078,102 +1362,41 @@ fn grouped_agg_fast_path(
     )
 }
 
+/// Scalar aggregation over plain columns: the Fig. 2c kernel when the shape
+/// allows, otherwise typed readers straight into per-worker accumulators.
 fn scalar_agg_fast_path(
-    table: &Table,
+    scan: &Scan<'_>,
     overlay: Option<&Overlay<'_>>,
     preds: &[Expr],
     aggs: &[AggExpr],
+    threads: usize,
 ) -> Option<Vec<Vec<Value>>> {
-    if let Some(rows) = fig2c_kernel(table, overlay, preds, aggs) {
+    if let Some(rows) = fig2c_kernel(scan, overlay, preds, aggs, threads) {
         return Some(rows);
     }
-    // All aggregates must be over plain non-string columns (or count(*)).
-    let mut readers = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        match &a.arg {
-            None => readers.push(AggReader::CountStar),
-            Some(Expr::Col(c)) => {
-                let def = &table.schema().columns()[*c];
-                let nc = def.nullable.then_some(*c);
-                match def.ty {
-                    DataType::Int32 => readers.push(AggReader::I32(table.i32_reader(*c), nc)),
-                    DataType::Int64 => readers.push(AggReader::I64(table.i64_reader(*c), nc)),
-                    DataType::Float64 => readers.push(AggReader::F64(table.f64_reader(*c), nc)),
-                    DataType::Str => return None,
-                }
-            }
-            Some(_) => return None,
-        }
-    }
-    let kernels: Vec<PredKernel<'_>> = preds.iter().map(|p| compile_pred(table, p)).collect();
-    // Interpreted kernels would defeat the purpose; fall back.
-    if kernels
-        .iter()
-        .any(|k| matches!(k, PredKernel::Interp { .. }))
-    {
+    let table = scan.table;
+    let readers = agg_readers(table, aggs)?;
+    if scan.interpreted() {
         return None;
     }
-    let mut accs: Vec<Accumulator> = aggs.iter().map(|a| Accumulator::new(a.func)).collect();
-    let n = table.len();
-    let dead: &[bool] = overlay.map(|o| o.dead).unwrap_or(&[]);
-    let wide = simd::wide_enabled(simd::mode());
-    let mut stats = simd::ChunkStats::default();
-    let zpreds = zone_preds(table, preds);
-    let zones = prunable_zones(table, &zpreds);
-    let (mut scanned, mut pruned) = (0u64, 0u64);
-    for b in 0..n.div_ceil(ZONE_BLOCK_ROWS) {
-        let (bs, be) = (b * ZONE_BLOCK_ROWS, ((b + 1) * ZONE_BLOCK_ROWS).min(n));
-        if let Some(z) = &zones {
-            if z.block_refuted(b, &zpreds) {
-                pruned += 1;
-                continue;
-            }
-            scanned += 1;
-        }
-        let mut sub = bs;
-        while sub < be {
-            let len = (be - sub).min(64);
-            let mut mask = simd::ones(len);
-            if !dead.is_empty() {
-                for (j, &d) in dead[sub..sub + len].iter().enumerate() {
-                    mask &= !((d as u64) << j);
-                }
-            }
-            for k in &kernels {
-                if mask == 0 {
-                    break;
-                }
-                mask &= k.block_mask(sub, len, wide, &mut stats);
-            }
-            while mask != 0 {
-                let i = sub + mask.trailing_zeros() as usize;
-                mask &= mask - 1;
+    let partials = drive(
+        table.len(),
+        rows_per_morsel(table),
+        threads,
+        || fresh_accs(aggs),
+        |accs, m| {
+            scan.survivors(m.rows(), |i| {
                 for (acc, rd) in accs.iter_mut().zip(readers.iter()) {
-                    match rd {
-                        AggReader::CountStar => acc.update_i64(1),
-                        AggReader::I32(r, nc) => {
-                            if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                                acc.update_i64(r.get(i) as i64);
-                            }
-                        }
-                        AggReader::I64(r, nc) => {
-                            if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                                acc.update_i64(r.get(i));
-                            }
-                        }
-                        AggReader::F64(r, nc) => {
-                            if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                                acc.update_f64(r.get(i));
-                            }
-                        }
-                    }
+                    rd.update(table, i, acc);
                 }
-            }
-            sub += len;
-        }
+            });
+        },
+    );
+    let mut partials = partials.into_iter();
+    let mut accs = partials.next().expect("the driver yields a partial");
+    for part in partials {
+        merge_accs(&mut accs, &part);
     }
-    stats.flush();
-    simd::note_blocks(scanned, pruned);
     if let Some(o) = overlay {
         for r in o.live_tail() {
             if !tail_row_passes(preds, r) {
@@ -1193,8 +1416,9 @@ fn exec(
     plan: &LogicalPlan,
     db: &dyn TableProvider,
     required: &[(String, Vec<ColId>)],
+    threads: usize,
 ) -> Result<Vec<Vec<Value>>, ExecError> {
-    let frag = lower(plan, db, required)?;
+    let frag = lower(plan, db, required, threads)?;
     Ok(match frag {
         Fragment::Rows(rows) => rows,
         Fragment::Pipe {
@@ -1205,14 +1429,16 @@ fn exec(
             let t = db
                 .table(&table)
                 .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
+            let overlay = db.overlay(&table);
             let needed = needed_cols(&table, t, required);
             run_pipeline(
-                t,
-                db.overlay(&table),
+                &Scan::new(t, overlay.as_ref(), &preds),
+                overlay.as_ref(),
                 &preds,
                 &steps,
                 &needed,
                 Sink::Collect(Vec::new()),
+                threads,
             )
         }
     })
@@ -1231,6 +1457,7 @@ fn lower(
     plan: &LogicalPlan,
     db: &dyn TableProvider,
     required: &[(String, Vec<ColId>)],
+    threads: usize,
 ) -> Result<Fragment, ExecError> {
     match plan {
         LogicalPlan::Scan { table } => {
@@ -1243,7 +1470,7 @@ fn lower(
             })
         }
         LogicalPlan::Select { input, pred, .. } => {
-            let frag = lower(input, db, required)?;
+            let frag = lower(input, db, required, threads)?;
             Ok(match frag {
                 Fragment::Pipe {
                     table,
@@ -1269,7 +1496,7 @@ fn lower(
             })
         }
         LogicalPlan::Project { input, exprs } => {
-            let frag = lower(input, db, required)?;
+            let frag = lower(input, db, required, threads)?;
             Ok(match frag {
                 Fragment::Pipe {
                     table,
@@ -1295,7 +1522,7 @@ fn lower(
             group_by,
             aggs,
         } => {
-            let frag = lower(input, db, required)?;
+            let frag = lower(input, db, required, threads)?;
             let rows = match frag {
                 Fragment::Pipe {
                     table,
@@ -1306,41 +1533,46 @@ fn lower(
                         .table(&table)
                         .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
                     let overlay = db.overlay(&table);
+                    let scan = Scan::new(t, overlay.as_ref(), &preds);
+                    let threads = if aggs_merge_exactly(input, aggs, &|n| table_floats(db, n)) {
+                        threads
+                    } else {
+                        1
+                    };
                     // Fig. 2c fast path: no steps, scalar column aggregates.
                     if steps.is_empty() && group_by.is_empty() {
-                        if let Some(rows) = scalar_agg_fast_path(t, overlay.as_ref(), &preds, aggs)
+                        if let Some(rows) =
+                            scalar_agg_fast_path(&scan, overlay.as_ref(), &preds, aggs, threads)
                         {
                             return Ok(Fragment::Rows(rows));
                         }
                     }
                     // Grouped fast path: single plain-column key.
                     if steps.is_empty() && !group_by.is_empty() {
-                        if let Some(rows) =
-                            grouped_agg_fast_path(t, overlay.as_ref(), &preds, group_by, aggs)
-                        {
+                        if let Some(rows) = grouped_agg_fast_path(
+                            &scan,
+                            overlay.as_ref(),
+                            &preds,
+                            group_by,
+                            aggs,
+                            threads,
+                        ) {
                             return Ok(Fragment::Rows(rows));
                         }
                     }
                     let needed = needed_cols(&table, t, required);
                     run_pipeline(
-                        t,
-                        overlay,
+                        &scan,
+                        overlay.as_ref(),
                         &preds,
                         &steps,
                         &needed,
-                        Sink::Agg {
-                            group_by: group_by.clone(),
-                            aggs: aggs.clone(),
-                            groups: HashMap::new(),
-                        },
+                        Sink::agg(group_by, aggs),
+                        threads,
                     )
                 }
                 Fragment::Rows(rows) => {
-                    let mut sink = Sink::Agg {
-                        group_by: group_by.clone(),
-                        aggs: aggs.clone(),
-                        groups: HashMap::new(),
-                    };
+                    let mut sink = Sink::agg(group_by, aggs);
                     for r in rows {
                         sink.consume(r);
                     }
@@ -1355,8 +1587,9 @@ fn lower(
             left_key,
             right_key,
         } => {
-            // Build side is always materialized (pipeline breaker).
-            let build_rows = exec(left, db, required)?;
+            // Build side is always materialized (pipeline breaker), in row
+            // order, so probe fan-out order is the same at any thread count.
+            let build_rows = exec(left, db, required, threads)?;
             let mut ht: HashMap<GroupKey, Vec<Vec<Value>>> = HashMap::new();
             for r in build_rows {
                 let k = left_key.eval(&r[..]);
@@ -1365,7 +1598,7 @@ fn lower(
                 }
                 ht.entry(GroupKey::single(&k)).or_default().push(r);
             }
-            let frag = lower(right, db, required)?;
+            let frag = lower(right, db, required, threads)?;
             Ok(match frag {
                 Fragment::Pipe {
                     table,
@@ -1407,7 +1640,7 @@ fn lower(
             })
         }
         LogicalPlan::Sort { input, keys } => {
-            let mut rows = exec(input, db, required)?;
+            let mut rows = exec(input, db, required, threads)?;
             rows.sort_by(|a, b| {
                 for k in keys {
                     let ord = cmp_values(&k.expr.eval(&a[..]), &k.expr.eval(&b[..]));
@@ -1421,7 +1654,7 @@ fn lower(
             Ok(Fragment::Rows(rows))
         }
         LogicalPlan::Limit { input, n } => {
-            let mut rows = exec(input, db, required)?;
+            let mut rows = exec(input, db, required, threads)?;
             rows.truncate(*n);
             Ok(Fragment::Rows(rows))
         }
@@ -1434,10 +1667,18 @@ mod tests {
     use crate::bulk::BulkEngine;
     use crate::volcano::VolcanoEngine;
     use pdsm_plan::builder::QueryBuilder;
-    use pdsm_plan::logical::AggFunc;
     use pdsm_storage::{ColumnDef, Schema};
 
     fn db() -> HashMap<String, Table> {
+        db_of(200)
+    }
+
+    /// Large enough to span many morsels at every thread count.
+    fn big_db() -> HashMap<String, Table> {
+        db_of(20_000)
+    }
+
+    fn db_of(n: i32) -> HashMap<String, Table> {
         let mut t = Table::new(
             "t",
             Schema::new(vec![
@@ -1447,7 +1688,7 @@ mod tests {
                 ColumnDef::nullable("f", DataType::Float64),
             ]),
         );
-        for i in 0..200 {
+        for i in 0..n {
             t.insert(&[
                 Value::Int32(i),
                 Value::Int32(i % 10),
@@ -1478,7 +1719,7 @@ mod tests {
                 ],
             )
             .build();
-        let out = CompiledEngine.execute(&plan, &db()).unwrap();
+        let out = CompiledEngine::new().execute(&plan, &db()).unwrap();
         let expect: i64 = (0..200).filter(|i| i % 10 == 3).sum::<i64>();
         assert_eq!(out.rows[0][0], Value::Int64(expect));
         assert_eq!(out.rows[0][1], Value::Int64(20));
@@ -1491,7 +1732,7 @@ mod tests {
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Count, Expr::col(3))])
             .build();
         let d = db();
-        let a = CompiledEngine.execute(&plan, &d).unwrap();
+        let a = CompiledEngine::new().execute(&plan, &d).unwrap();
         let b = VolcanoEngine.execute(&plan, &d).unwrap();
         a.assert_same(&b, "null handling in fast path");
     }
@@ -1503,7 +1744,7 @@ mod tests {
             .aggregate(vec![], vec![AggExpr::count_star()])
             .build();
         let d = db();
-        let a = CompiledEngine.execute(&plan, &d).unwrap();
+        let a = CompiledEngine::new().execute(&plan, &d).unwrap();
         let b = VolcanoEngine.execute(&plan, &d).unwrap();
         a.assert_same(&b, "disjunctive LIKE");
         assert_eq!(a.rows[0][0], Value::Int64(80));
@@ -1515,7 +1756,7 @@ mod tests {
             .filter(Expr::col(2).eq(Expr::lit("no-such-name")))
             .project(vec![Expr::col(0)])
             .build();
-        let out = CompiledEngine.execute(&plan, &db()).unwrap();
+        let out = CompiledEngine::new().execute(&plan, &db()).unwrap();
         assert!(out.is_empty());
     }
 
@@ -1533,7 +1774,7 @@ mod tests {
             )
             .build();
         let d = db();
-        let a = CompiledEngine.execute(&plan, &d).unwrap();
+        let a = CompiledEngine::new().execute(&plan, &d).unwrap();
         let b = VolcanoEngine.execute(&plan, &d).unwrap();
         let c = BulkEngine.execute(&plan, &d).unwrap();
         a.assert_same(&b, "compiled vs volcano");
@@ -1549,7 +1790,7 @@ mod tests {
             .project(vec![Expr::col(0), Expr::col(4 + 2)])
             .build();
         let d = db();
-        let a = CompiledEngine.execute(&plan, &d).unwrap();
+        let a = CompiledEngine::new().execute(&plan, &d).unwrap();
         let b = VolcanoEngine.execute(&plan, &d).unwrap();
         a.assert_same(&b, "fused join");
         assert_eq!(a.len(), 20);
@@ -1566,7 +1807,7 @@ mod tests {
             )
             .build();
         let d = db();
-        let a = CompiledEngine.execute(&plan, &d).unwrap();
+        let a = CompiledEngine::new().execute(&plan, &d).unwrap();
         let b = VolcanoEngine.execute(&plan, &d).unwrap();
         a.assert_same(&b, "join+agg");
     }
@@ -1579,8 +1820,297 @@ mod tests {
             .limit(11)
             .build();
         let d = db();
-        let a = CompiledEngine.execute(&plan, &d).unwrap();
+        let a = CompiledEngine::new().execute(&plan, &d).unwrap();
         let b = VolcanoEngine.execute(&plan, &d).unwrap();
         assert_eq!(a.rows, b.rows);
+    }
+
+    const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+    /// `plan` at every thread count, as `Debug` strings (so float bits
+    /// count), in output order.
+    fn outputs(plan: &LogicalPlan, d: &HashMap<String, Table>) -> Vec<Vec<String>> {
+        THREADS
+            .iter()
+            .map(|&n| {
+                let out = CompiledEngine::with_threads(n).execute(plan, d).unwrap();
+                out.rows.iter().map(|r| format!("{r:?}")).collect()
+            })
+            .collect()
+    }
+
+    /// Exact output order at every thread count (row-returning plans).
+    fn assert_identical(plan: &LogicalPlan, d: &HashMap<String, Table>, ctx: &str) {
+        let outs = outputs(plan, d);
+        for (out, n) in outs.iter().zip(THREADS) {
+            assert_eq!(out, &outs[0], "{ctx}: threads={n}");
+        }
+    }
+
+    /// Bit-identical rows at every thread count, in any order (group order
+    /// is hash order at one thread too).
+    fn assert_identical_unordered(plan: &LogicalPlan, d: &HashMap<String, Table>, ctx: &str) {
+        let mut outs = outputs(plan, d);
+        outs.iter_mut().for_each(|o| o.sort());
+        for (out, n) in outs.iter().zip(THREADS) {
+            assert_eq!(out, &outs[0], "{ctx}: threads={n}");
+        }
+    }
+
+    #[test]
+    fn filter_project_keeps_scan_order_at_any_thread_count() {
+        let plan = QueryBuilder::scan("t")
+            .filter(Expr::col(1).lt(Expr::lit(3)))
+            .project(vec![Expr::col(0), Expr::col(2)])
+            .build();
+        let d = big_db();
+        assert_identical(&plan, &d, "filter+project");
+        assert_eq!(outputs(&plan, &d)[0].len(), 6_000);
+    }
+
+    #[test]
+    fn merge_exact_aggregates_match_at_any_thread_count() {
+        let d = big_db();
+        let fig2c = QueryBuilder::scan("t")
+            .filter(Expr::col(1).eq(Expr::lit(7)))
+            .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(0))])
+            .build();
+        assert_identical(&fig2c, &d, "fig2c");
+        let scalar = QueryBuilder::scan("t")
+            .filter(Expr::col(1).eq(Expr::lit(7)))
+            .aggregate(
+                vec![],
+                vec![
+                    AggExpr::count_star(),
+                    AggExpr::new(AggFunc::Sum, Expr::col(0)),
+                    AggExpr::new(AggFunc::Min, Expr::col(0)),
+                    AggExpr::new(AggFunc::Max, Expr::col(0)),
+                ],
+            )
+            .build();
+        assert_identical(&scalar, &d, "scalar agg");
+        let grouped = QueryBuilder::scan("t")
+            .aggregate(
+                vec![Expr::col(2)],
+                vec![
+                    AggExpr::count_star(),
+                    AggExpr::new(AggFunc::Sum, Expr::col(1)),
+                ],
+            )
+            .build();
+        assert_identical_unordered(&grouped, &d, "grouped agg");
+        // an expression key takes the generic sink, merged per worker
+        let expr_key = QueryBuilder::scan("t")
+            .aggregate(
+                vec![Expr::col(1).add(Expr::lit(1))],
+                vec![AggExpr::new(AggFunc::Max, Expr::col(2))],
+            )
+            .build();
+        assert_identical_unordered(&expr_key, &d, "expression key");
+        // an interpreted predicate over a grouped count, against volcano
+        let interpreted = QueryBuilder::scan("t")
+            .filter(Expr::col(2).like("name-1").or(Expr::col(3).is_null()))
+            .aggregate(vec![Expr::col(1)], vec![AggExpr::count_star()])
+            .build();
+        assert_identical_unordered(&interpreted, &d, "interpreted predicate");
+        VolcanoEngine
+            .execute(&interpreted, &d)
+            .unwrap()
+            .assert_same(
+                &CompiledEngine::with_threads(4)
+                    .execute(&interpreted, &d)
+                    .unwrap(),
+                "volcano vs compiled at 4 threads",
+            );
+    }
+
+    #[test]
+    fn float_aggregates_bit_identical_at_any_thread_count() {
+        let plan = QueryBuilder::scan("t")
+            .filter(Expr::col(1).lt(Expr::lit(8)))
+            .aggregate(
+                vec![Expr::col(2)],
+                vec![
+                    AggExpr::new(AggFunc::Sum, Expr::col(3)),
+                    AggExpr::new(AggFunc::Avg, Expr::col(3)),
+                ],
+            )
+            .build();
+        assert_identical_unordered(&plan, &big_db(), "float grouped sum/avg");
+        let scalar = QueryBuilder::scan("t")
+            .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(3))])
+            .build();
+        assert_identical(&scalar, &big_db(), "float scalar sum");
+    }
+
+    #[test]
+    fn join_aggregate_and_sort_limit_at_any_thread_count() {
+        let d = big_db();
+        let join = QueryBuilder::scan("t")
+            .filter(Expr::col(1).eq(Expr::lit(2)))
+            .join(QueryBuilder::scan("t").build(), Expr::col(0), Expr::col(0))
+            .aggregate(
+                vec![Expr::col(4 + 1)],
+                vec![AggExpr::new(AggFunc::Sum, Expr::col(0))],
+            )
+            .build();
+        assert_identical_unordered(&join, &d, "join+agg");
+        let reference = VolcanoEngine.execute(&join, &d).unwrap();
+        reference.assert_same(
+            &CompiledEngine::with_threads(4).execute(&join, &d).unwrap(),
+            "join+agg vs volcano",
+        );
+        let sort = QueryBuilder::scan("t")
+            .project(vec![Expr::col(1), Expr::col(0)])
+            .sort(vec![(Expr::col(0), true), (Expr::col(1), false)])
+            .limit(37)
+            .build();
+        assert_identical(&sort, &d, "sort+limit");
+    }
+
+    #[test]
+    fn overlay_tombstones_and_tail_in_order_at_any_thread_count() {
+        use pdsm_storage::row::Row;
+        struct WithOverlay<'a> {
+            db: &'a HashMap<String, Table>,
+            overlay: Overlay<'a>,
+        }
+        impl TableProvider for WithOverlay<'_> {
+            fn table(&self, name: &str) -> Option<&Table> {
+                self.db.get(name)
+            }
+            fn overlay(&self, _: &str) -> Option<Overlay<'_>> {
+                Some(self.overlay)
+            }
+        }
+        let d = big_db();
+        let mut dead = vec![false; 20_000];
+        dead[3] = true;
+        dead[19_993] = true;
+        let row = |a: i32| {
+            Row(vec![
+                Value::Int32(a),
+                Value::Int32(3),
+                Value::Str("name-new".into()),
+                Value::Float64(0.25),
+            ])
+        };
+        let tail = vec![row(50_000), row(50_001)];
+        let p = WithOverlay {
+            db: &d,
+            overlay: Overlay {
+                dead: &dead,
+                tail: &tail,
+                tail_alive: &[true, false],
+            },
+        };
+        let scan = QueryBuilder::scan("t")
+            .filter(Expr::col(1).eq(Expr::lit(3)))
+            .build();
+        let agg = QueryBuilder::scan("t")
+            .filter(Expr::col(1).eq(Expr::lit(3)))
+            .aggregate(
+                vec![Expr::col(2)],
+                vec![
+                    AggExpr::count_star(),
+                    AggExpr::new(AggFunc::Sum, Expr::col(0)),
+                ],
+            )
+            .build();
+        let one = CompiledEngine::new().execute(&scan, &p).unwrap();
+        for n in THREADS {
+            let many = CompiledEngine::with_threads(n).execute(&scan, &p).unwrap();
+            assert_eq!(one.rows, many.rows, "threads={n}");
+            VolcanoEngine.execute(&agg, &p).unwrap().assert_same(
+                &CompiledEngine::with_threads(n).execute(&agg, &p).unwrap(),
+                "agg",
+            );
+        }
+        // tombstoned rows are gone; the live tail row comes last
+        assert!(!one.rows.iter().any(|r| r[0] == Value::Int32(3)));
+        assert_eq!(one.rows.last().unwrap()[0], Value::Int32(50_000));
+    }
+
+    #[test]
+    fn empty_scan_yields_null_row_at_any_thread_count() {
+        let d = db_of(0);
+        let plan = QueryBuilder::scan("t")
+            .aggregate(
+                vec![],
+                vec![
+                    AggExpr::count_star(),
+                    AggExpr::new(AggFunc::Sum, Expr::col(0)),
+                ],
+            )
+            .build();
+        for n in THREADS {
+            let out = CompiledEngine::with_threads(n).execute(&plan, &d).unwrap();
+            assert_eq!(
+                out.rows,
+                vec![vec![Value::Int64(0), Value::Null]],
+                "threads={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_table_error_at_any_thread_count() {
+        let d: HashMap<String, Table> = HashMap::new();
+        let plan = QueryBuilder::scan("missing").build();
+        for n in THREADS {
+            let err = CompiledEngine::with_threads(n)
+                .execute(&plan, &d)
+                .unwrap_err();
+            assert_eq!(err, ExecError::UnknownTable("missing".into()));
+        }
+    }
+
+    #[test]
+    fn thread_count_resolution() {
+        assert_eq!(CompiledEngine::new().threads(), 1);
+        assert_eq!(CompiledEngine::default().threads(), 1);
+        assert_eq!(CompiledEngine::with_threads(0).threads(), 1);
+        assert_eq!(CompiledEngine::with_threads(3).threads(), 3);
+    }
+
+    #[test]
+    fn float_sensitivity_detection() {
+        // k: Int32, v: Int64, f: Float64
+        let floats = [false, false, true];
+        let sum = |e: Expr| AggExpr::new(AggFunc::Sum, e);
+        assert!(float_sensitive(&sum(Expr::col(2)), &floats));
+        assert!(float_sensitive(
+            &sum(Expr::col(1).mul(Expr::lit(0.5))),
+            &floats
+        ));
+        assert!(!float_sensitive(&sum(Expr::col(1)), &floats));
+        assert!(!float_sensitive(
+            &AggExpr::new(AggFunc::Count, Expr::col(2)),
+            &floats
+        ));
+        assert!(!float_sensitive(&AggExpr::count_star(), &floats));
+        // avg always finishes through the float running sum, even over ints
+        assert!(float_sensitive(
+            &AggExpr::new(AggFunc::Avg, Expr::col(1)),
+            &floats
+        ));
+        // through projections and joins, columns keep their float flags
+        let d = db();
+        let tf = |n: &str| table_floats(&d, n);
+        let over = |input: LogicalPlan, arg: Expr| {
+            QueryBuilder::from_plan(input)
+                .aggregate(vec![], vec![AggExpr::new(AggFunc::Max, arg)])
+                .build()
+        };
+        let projected = QueryBuilder::scan("t")
+            .project(vec![Expr::col(3), Expr::col(0)])
+            .build();
+        assert!(!merges_exactly(&over(projected.clone(), Expr::col(0)), &tf));
+        assert!(merges_exactly(&over(projected, Expr::col(1)), &tf));
+        let joined = QueryBuilder::scan("t")
+            .join(QueryBuilder::scan("t").build(), Expr::col(0), Expr::col(0))
+            .build();
+        assert!(merges_exactly(&over(joined.clone(), Expr::col(4)), &tf));
+        assert!(!merges_exactly(&over(joined, Expr::col(7)), &tf));
     }
 }

@@ -334,7 +334,8 @@ impl Accumulator {
     /// Merging partials built over a partitioning of the input in partition
     /// order is equivalent to the sequential fold for count/sum(int)/min/max;
     /// float sums may differ in the last ulps (addition is reassociated),
-    /// which is why `pdsm-par` keeps float aggregation single-threaded.
+    /// which is why the compiled engine keeps float aggregation on one
+    /// thread.
     pub fn merge(&mut self, other: &Accumulator) {
         debug_assert_eq!(self.func, other.func, "merging mismatched aggregates");
         self.count += other.count;

@@ -19,7 +19,9 @@
 //!   predicates), survivors flow through join probes and into sinks
 //!   (aggregation states, hash-build tables, output buffers) without
 //!   per-tuple indirect calls or allocation. LLVM JiT is substituted by
-//!   ahead-of-time monomorphized kernels — see DESIGN.md §2.
+//!   ahead-of-time monomorphized kernels — see DESIGN.md §2. Its pipelines
+//!   run on one thread or, morsel-driven ([`morsel`], [`pool`]), on
+//!   [`CompiledEngine::with_threads`] workers with identical output.
 //!
 //! All engines implement [`engine::Engine`] and are differential-tested to
 //! produce identical results on identical plans.
@@ -28,17 +30,22 @@ pub mod bulk;
 pub mod compiled;
 pub mod engine;
 pub mod keys;
+pub mod morsel;
+pub mod pool;
 pub mod result;
 pub mod simd;
 pub mod vectorized;
 pub mod volcano;
 
-pub use compiled::{compile_pred, zone_preds, PredKernel};
+pub use compiled::{
+    compile_pred, float_flags, float_sensitive, merges_exactly, zone_preds, PredKernel,
+};
 pub use engine::{
     agg_tail_update, fig2c_tail_fold, masked_tail_row, tail_defeats_raw_keys, tail_raw_key,
     tail_row_passes, Accumulator, BulkEngine, CompiledEngine, Engine, ExecError, Overlay,
     TableProvider, VolcanoEngine,
 };
+pub use pool::default_threads;
 pub use result::{QueryOutput, QueryResult};
 pub use simd::{reset_scan_counters, scan_counters, set_mode_override, ScanCounters, SimdMode};
 pub use vectorized::VectorizedEngine;

@@ -15,9 +15,9 @@
 //! Only integer comparisons and integer sums go wide: integer addition is
 //! associative, so chunk-reordered accumulation is exactly the scalar
 //! result. Float aggregation, tombstoned regions, and the decoded delta
-//! tail keep the scalar path — that is what keeps all five engines
-//! byte-identical (the same reasoning `pdsm-par` applies to
-//! float-sensitive aggregates).
+//! tail keep the scalar path — that is what keeps all four engines
+//! byte-identical (the same reasoning that keeps float-sensitive
+//! aggregates on one thread in the compiled engine).
 //!
 //! The `PDSM_SIMD` knob selects the dispatch (`auto` | `scalar` |
 //! `forced`); global counters record engaged SIMD vs scalar chunks and

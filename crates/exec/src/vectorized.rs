@@ -302,7 +302,7 @@ mod tests {
             )
             .build();
         let v = VectorizedEngine::default().execute(&plan, &d).unwrap();
-        let c = CompiledEngine.execute(&plan, &d).unwrap();
+        let c = CompiledEngine::new().execute(&plan, &d).unwrap();
         v.assert_same(&c, "vectorized vs compiled");
     }
 
@@ -367,7 +367,7 @@ mod tests {
             .project(vec![Expr::col(0), Expr::col(1)])
             .build();
         let v = VectorizedEngine::default().execute(&plan, &d).unwrap();
-        let c = CompiledEngine.execute(&plan, &d).unwrap();
+        let c = CompiledEngine::new().execute(&plan, &d).unwrap();
         v.assert_same(&c, "stacked selects");
     }
 }

@@ -28,10 +28,9 @@ pub enum EngineChoice {
     /// Block-at-a-time processing with cache-resident selection vectors.
     /// Only eligible for single-table scan pipelines.
     Vectorized,
-    /// Data-centric fused pipelines (the paper's model).
+    /// Data-centric fused pipelines (the paper's model), on
+    /// [`PhysicalPlan::threads`] workers.
     Compiled,
-    /// Morsel-driven parallel execution of the compiled pipelines.
-    Parallel,
 }
 
 impl EngineChoice {
@@ -42,7 +41,6 @@ impl EngineChoice {
             EngineChoice::Bulk => "bulk",
             EngineChoice::Vectorized => "vectorized",
             EngineChoice::Compiled => "compiled",
-            EngineChoice::Parallel => "parallel",
         }
     }
 }
@@ -159,10 +157,19 @@ pub struct PhysicalPlan {
     /// Engine the plan executes on (ignored for pure index probes, which
     /// bypass the engines entirely).
     pub engine: EngineChoice,
+    /// Workers each scan pipeline runs on: more than one only for the
+    /// compiled engine, when the model priced the split cheaper.
+    pub threads: usize,
     /// One entry per pipeline, in scan order.
     pub pipelines: Vec<PipelinePlan>,
-    /// Predicted cost of the chosen (engine, access path) combination.
+    /// Predicted cost of the chosen (engine, access path) combination —
+    /// its critical path when `threads > 1`.
     pub cost: CostSummary,
+    /// Predicted cycles of the cheapest one-thread alternative: the total
+    /// work one re-execution costs, whatever the thread count. What a
+    /// cached result saves, so the result cache prices admission and
+    /// eviction on it.
+    pub work_cycles: f64,
     /// Every alternative the planner priced, as `(label, total cycles)`,
     /// sorted cheapest first. Labels are `"scan/<engine>"` and `"index"`;
     /// the first entry is the chosen one.
@@ -170,13 +177,13 @@ pub struct PhysicalPlan {
     /// Estimated result cardinality.
     pub est_out_rows: f64,
     /// Result-cache admission: `true` iff the model priced re-executing
-    /// this plan above materializing and re-reading its result
-    /// (`copy_out_cycles`) — the Dursun-style cache-vs-recompute test.
+    /// this plan (`work_cycles`) above materializing and re-reading its
+    /// result (`copy_out_cycles`) — the Dursun-style cache-vs-recompute test.
     /// `false` plans bypass the result cache entirely.
     pub cache_admit: bool,
     /// Model-predicted cycles to copy the materialized result out of a
     /// cache (one sequential write + one re-read of the estimated result
-    /// bytes) — what admission weighed `cost` against.
+    /// bytes) — what admission weighed `work_cycles` against.
     pub copy_out_cycles: f64,
 }
 
@@ -197,6 +204,12 @@ impl PhysicalPlan {
             .iter()
             .find(|(l, _)| l == label)
             .map(|(_, c)| *c)
+    }
+
+    /// Cycles a cached result saves per reuse: re-executing the plan minus
+    /// copying its result out. Independent of the thread count.
+    pub fn cache_benefit(&self) -> f64 {
+        (self.work_cycles - self.copy_out_cycles).max(0.0)
     }
 
     /// Cheapest full-scan alternative (the cost the chosen path had to
@@ -227,7 +240,11 @@ impl PhysicalPlan {
     pub fn explain_with(&self, cache: Option<&str>) -> String {
         let mut s = String::new();
         s.push_str("physical plan\n");
-        s.push_str(&format!("  engine: {}\n", self.engine));
+        s.push_str(&format!("  engine: {}", self.engine));
+        if self.engine == EngineChoice::Compiled {
+            s.push_str(&format!(" (threads {})", self.threads));
+        }
+        s.push('\n');
         for (i, p) in self.pipelines.iter().enumerate() {
             s.push_str(&format!(
                 "  pipeline {i}: {} via {} — est {:.0} of {} rows",
@@ -297,6 +314,7 @@ mod tests {
         PhysicalPlan {
             logical: QueryBuilder::scan("t").build(),
             engine: EngineChoice::Compiled,
+            threads: 1,
             pipelines: vec![PipelinePlan {
                 table: "t".into(),
                 access: AccessPath::IndexPoint {
@@ -317,6 +335,7 @@ mod tests {
                 cpu_cycles: 100.0,
                 disk_cycles: 0.0,
             },
+            work_cycles: 1000.0,
             alternatives: vec![
                 ("index".to_string(), 1000.0),
                 ("scan/compiled".to_string(), 5000.0),
@@ -332,7 +351,7 @@ mod tests {
     fn explain_shows_path_and_cost() {
         let p = sample();
         let e = p.explain();
-        assert!(e.contains("engine: compiled"), "{e}");
+        assert!(e.contains("engine: compiled (threads 1)\n"), "{e}");
         assert!(e.contains("index probe col 0 = 7"), "{e}");
         assert!(e.contains("(+3 delta)"), "{e}");
         assert!(e.contains("cost: 1000 cycles (mem 900 + cpu 100)"), "{e}");
@@ -397,6 +416,7 @@ mod tests {
         assert_eq!(p.cost_of("scan/compiled"), Some(5000.0));
         assert_eq!(p.best_scan_cost(), Some(5000.0));
         assert_eq!(p.cost.total(), 1000.0);
-        assert_eq!(EngineChoice::Parallel.to_string(), "parallel");
+        assert_eq!(EngineChoice::Compiled.to_string(), "compiled");
+        assert_eq!(p.cache_benefit(), 1000.0);
     }
 }

@@ -548,7 +548,7 @@ mod tests {
         let d = db(1);
         for q in queries() {
             let plan = q.as_plan().unwrap();
-            let c = CompiledEngine.execute(plan, &d).unwrap();
+            let c = CompiledEngine::new().execute(plan, &d).unwrap();
             let v = VolcanoEngine.execute(plan, &d).unwrap();
             let b = BulkEngine.execute(plan, &d).unwrap();
             c.assert_same(&v, &format!("{} compiled vs volcano", q.name));
@@ -559,7 +559,7 @@ mod tests {
     #[test]
     fn q1_groups_by_line_number() {
         let d = db(1);
-        let out = CompiledEngine
+        let out = CompiledEngine::new()
             .execute(queries()[0].as_plan().unwrap(), &d)
             .unwrap();
         // ol_number ranges 0..15
@@ -569,7 +569,7 @@ mod tests {
     #[test]
     fn q6_revenue_positive() {
         let d = db(1);
-        let out = CompiledEngine
+        let out = CompiledEngine::new()
             .execute(queries()[5].as_plan().unwrap(), &d)
             .unwrap();
         assert!(out.rows[0][0].as_f64().unwrap() > 0.0);

@@ -194,7 +194,7 @@ mod tests {
         let d = db(400, 60);
         for q in queries("laptops", 40, 123) {
             let plan = q.as_plan().unwrap();
-            let c = CompiledEngine.execute(plan, &d).unwrap();
+            let c = CompiledEngine::new().execute(plan, &d).unwrap();
             let v = VolcanoEngine.execute(plan, &d).unwrap();
             let b = BulkEngine.execute(plan, &d).unwrap();
             c.assert_same(&v, &format!("{} compiled vs volcano", q.name));
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn identity_select_returns_full_width_row() {
         let d = db(100, 40);
-        let out = CompiledEngine
+        let out = CompiledEngine::new()
             .execute(queries("laptops", 40, 57)[3].as_plan().unwrap(), &d)
             .unwrap();
         assert_eq!(out.len(), 1);
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn category_counts_sum_to_n() {
         let d = db(300, 24);
-        let out = CompiledEngine
+        let out = CompiledEngine::new()
             .execute(queries("laptops", 40, 0)[0].as_plan().unwrap(), &d)
             .unwrap();
         let total: i64 = out.rows.iter().map(|r| r[1].as_i64().unwrap()).sum();

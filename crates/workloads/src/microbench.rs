@@ -124,10 +124,14 @@ mod tests {
     fn results_agree_across_layouts_and_engines() {
         let base = generate(3_000, 0.1, Layout::row(N_COLS), 7);
         let plan = query(0.1);
-        let reference = CompiledEngine.execute(&plan, &as_db(base.clone())).unwrap();
+        let reference = CompiledEngine::new()
+            .execute(&plan, &as_db(base.clone()))
+            .unwrap();
         for (name, layout) in layouts() {
             let t = base.relayout(layout).unwrap();
-            let out = CompiledEngine.execute(&plan, &as_db(t.clone())).unwrap();
+            let out = CompiledEngine::new()
+                .execute(&plan, &as_db(t.clone()))
+                .unwrap();
             reference.assert_same(&out, name);
             let vol = VolcanoEngine.execute(&plan, &as_db(t)).unwrap();
             reference.assert_same(&vol, &format!("{name}/volcano"));
@@ -137,7 +141,9 @@ mod tests {
     #[test]
     fn zero_selectivity_sums_null() {
         let t = generate(1_000, 0.0, pdsm_layout(), 1);
-        let out = CompiledEngine.execute(&query(0.0), &as_db(t)).unwrap();
+        let out = CompiledEngine::new()
+            .execute(&query(0.0), &as_db(t))
+            .unwrap();
         assert_eq!(out.rows[0], vec![Value::Null; 4]);
     }
 }

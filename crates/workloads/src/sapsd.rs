@@ -529,7 +529,7 @@ mod tests {
         let d = db(120);
         for q in queries(120) {
             let Some(plan) = q.as_plan() else { continue };
-            let c = CompiledEngine.execute(plan, &d).unwrap();
+            let c = CompiledEngine::new().execute(plan, &d).unwrap();
             let v = VolcanoEngine.execute(plan, &d).unwrap();
             let b = BulkEngine.execute(plan, &d).unwrap();
             c.assert_same(&v, &format!("{} compiled vs volcano", q.name));
@@ -541,7 +541,7 @@ mod tests {
     fn q1_hits_expected_fraction() {
         let d = db(400);
         let plan = queries(400)[0].as_plan().unwrap().clone();
-        let out = CompiledEngine.execute(&plan, &d).unwrap();
+        let out = CompiledEngine::new().execute(&plan, &d).unwrap();
         let n = d["ADRC"].len() as f64;
         // prefix 1/10 of names OR suffix 1/4 => ~32.5 %
         let frac = out.len() as f64 / n;

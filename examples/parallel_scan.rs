@@ -1,4 +1,4 @@
-//! The morsel-driven parallel engine from the public API: same query,
+//! The compiled engine on N threads from the public API: same query,
 //! every engine, plus pinned worker counts — all results must agree.
 //!
 //! Run: `cargo run --release --example parallel_scan`
@@ -30,23 +30,23 @@ fn main() {
         }
     }
 
-    println!("\npinned worker counts (ParallelEngine::with_threads):");
+    println!("\npinned worker counts (CompiledEngine::with_threads):");
     let reference = reference.expect("ran at least one engine");
-    // Engines consume a TableProvider; under the shared-handle API that is
-    // a snapshot pinned at the current version, not the database itself.
-    let snap = db.snapshot();
     for threads in [1, 2, 4, 8] {
-        let engine = ParallelEngine::with_threads(threads);
+        let engine = CompiledEngine::with_threads(threads);
         let start = std::time::Instant::now();
-        let out = Engine::execute(&engine, &plan, &snap).expect("query runs");
+        let out = db.run_with(&plan, &engine).expect("query runs");
         reference.assert_same(&out, "pinned threads");
         println!(
             "  {threads} thread(s): {:>9.1?}  (results identical)",
             start.elapsed()
         );
     }
+    let phys = db.plan_query(&plan).expect("plans");
     println!(
-        "\nauto resolution: PDSM_THREADS or all cores -> {} worker(s) here",
-        ParallelEngine::new().effective_threads()
+        "\nplanned: {} on {} thread(s) (PDSM_THREADS or all cores: {} here)",
+        phys.engine,
+        phys.threads,
+        mrdb::exec::default_threads()
     );
 }

@@ -13,7 +13,6 @@ pub use pdsm_cost as cost;
 pub use pdsm_exec as exec;
 pub use pdsm_index as index;
 pub use pdsm_layout as layout;
-pub use pdsm_par as par;
 pub use pdsm_plan as plan;
 pub use pdsm_sql as sql;
 pub use pdsm_storage as storage;
@@ -30,7 +29,6 @@ pub mod prelude {
     };
     pub use pdsm_exec::engine::{BulkEngine, CompiledEngine, Engine, VolcanoEngine};
     pub use pdsm_layout::workload::{Workload, WorkloadQuery};
-    pub use pdsm_par::ParallelEngine;
     pub use pdsm_plan::builder::QueryBuilder;
     pub use pdsm_plan::expr::Expr;
     pub use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan};

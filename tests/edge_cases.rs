@@ -181,7 +181,7 @@ fn vectorized_agrees_on_supported_subset() {
         .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(0))])
         .build();
     let v = VectorizedEngine::default().execute(&plan, &db).unwrap();
-    let c = CompiledEngine.execute(&plan, &db).unwrap();
+    let c = CompiledEngine::new().execute(&plan, &db).unwrap();
     v.assert_same(&c, "vectorized subset");
 }
 

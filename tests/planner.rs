@@ -279,7 +279,7 @@ fn explain_snapshot() {
         .filter_with_selectivity(Expr::col(0).eq(Expr::lit(0)), 0.01)
         .project(vec![Expr::col(1)])
         .build();
-    // a pinned thread count keeps the parallel alternative deterministic
+    // a pinned thread count keeps the compiled engine's split deterministic
     let planner = Planner {
         threads: 4,
         ..Default::default()
@@ -287,10 +287,10 @@ fn explain_snapshot() {
     let phys = planner.plan(&db, &plan).unwrap();
     let expected = "\
 physical plan
-  engine: compiled
+  engine: compiled (threads 1)
   pipeline 0: R via index probe col 0 = 0 — est 10 of 1000 rows (+0 delta)
   cost: 2485 cycles (mem 985 + cpu 1500), est 10 output rows
-  alternatives: index=2485 scan/compiled=7252 scan/vectorized=12277 scan/bulk=24537 scan/parallel=39813 scan/volcano=124837
+  alternatives: index=2485 scan/compiled=7252 scan/vectorized=12277 scan/bulk=24537 scan/volcano=124837
 ";
     assert_eq!(
         phys.explain(),

@@ -121,30 +121,34 @@ fn order_insensitive(plan: &LogicalPlan) -> bool {
     matches!(plan, LogicalPlan::Aggregate { group_by, .. } if !group_by.is_empty())
 }
 
-/// Run `plans` on both twins across every engine (plus the cost-based
-/// planner path) and require byte-identical `QueryResult`s.
+/// Run `plans` on both twins across every engine, the compiled engine at
+/// four threads, and the cost-based planner path, and require
+/// byte-identical `QueryResult`s.
 fn assert_twins_agree(pooled: &Database, resident: &Database, plans: &[LogicalPlan]) {
+    let threaded = CompiledEngine::with_threads(4);
+    let engines: Vec<(String, &dyn Engine)> = EngineKind::all()
+        .map(|k| (k.to_string(), k.engine()))
+        .into_iter()
+        .chain([(
+            "compiled at 4 threads".to_string(),
+            &threaded as &dyn Engine,
+        )])
+        .collect();
     for (i, plan) in plans.iter().enumerate() {
-        for engine in EngineKind::all() {
-            let a = pooled.run(plan, engine).unwrap();
-            let b = resident.run(plan, engine).unwrap();
-            prop_assert_eq!(
-                &a.columns,
-                &b.columns,
-                "plan {} header under {:?}",
-                i,
-                engine
-            );
+        for (engine, e) in &engines {
+            let a = pooled.run_with(plan, *e).unwrap();
+            let b = resident.run_with(plan, *e).unwrap();
+            prop_assert_eq!(&a.columns, &b.columns, "plan {} header under {}", i, engine);
             if order_insensitive(plan) {
                 prop_assert_eq!(
                     a.normalized(),
                     b.normalized(),
-                    "plan {} under {:?}",
+                    "plan {} under {}",
                     i,
                     engine
                 );
             } else {
-                prop_assert_eq!(a, b, "plan {} diverged under {:?}", i, engine);
+                prop_assert_eq!(a, b, "plan {} diverged under {}", i, engine);
             }
         }
         let a = pooled.execute(plan).unwrap();

@@ -9,6 +9,8 @@ use mrdb::prelude::*;
 use mrdb::workloads::microbench;
 use proptest::prelude::*;
 
+mod common;
+
 /// Base-table size: big enough that repeated aggregates clear the
 /// planner's admission floor, small enough to keep the suite quick.
 const BASE_ROWS: usize = 20_000;
@@ -147,16 +149,9 @@ proptest! {
                             );
                         }
                         // ...and every engine agrees with the cached answer
-                        for kind in EngineKind::all() {
-                            if !kind.supports(plan) {
-                                continue;
-                            }
-                            let forced = on.run(plan, kind).unwrap();
-                            forced.clone().into_output().assert_same(
-                                &a.clone().into_output(),
-                                &format!("{name}: cached vs {kind:?}"),
-                            );
-                        }
+                        let ctx = format!("{name}: cached vs every engine");
+                        common::assert_engines_agree(plan, &on.snapshot(), &ctx)
+                            .assert_same(&a.clone().into_output(), &ctx);
                     }
                     Op::Insert { a, v } => {
                         insert_row(&on, *a, *v);

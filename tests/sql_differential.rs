@@ -10,6 +10,8 @@ use mrdb::sql::{compile, plan_to_sql, strip_hints, Statement};
 use mrdb::workloads::{microbench, sapsd, QueryKind};
 use pdsm_plan::sql_literal;
 
+mod common;
+
 fn load_sapsd(scale: usize) -> (Database, Vec<mrdb::workloads::BenchQuery>) {
     let db = Database::new();
     for t in sapsd::tables(scale, 42) {
@@ -64,16 +66,9 @@ fn sapsd_sql_results_match_programmatic_across_engines_and_layouts() {
                 panic!("{}: {sql:?} did not compile", q.name);
             };
             let reference = db.execute(plan).unwrap();
-            for kind in EngineKind::all() {
-                if !kind.supports(&bound) {
-                    continue;
-                }
-                let via_sql = db.run(&bound, kind).unwrap();
-                reference.assert_same(
-                    &via_sql,
-                    &format!("{} via SQL on {kind} columnar={columnar}", q.name),
-                );
-            }
+            let ctx = format!("{} via SQL columnar={columnar}", q.name);
+            let via_sql = common::assert_engines_agree(&bound, &db.snapshot(), &ctx);
+            reference.assert_same(&via_sql, &ctx);
         }
     }
 }
@@ -135,12 +130,8 @@ fn microbench_queries_survive_sql_round_trip() {
         };
         assert_eq!(bound, strip_hints(&plan), "sel={sel} via {sql:?}");
         let reference = db.execute(&plan).unwrap();
-        for kind in EngineKind::all() {
-            if !kind.supports(&bound) {
-                continue;
-            }
-            let via_sql = db.run(&bound, kind).unwrap();
-            reference.assert_same(&via_sql, &format!("microbench sel={sel} on {kind}"));
-        }
+        let ctx = format!("microbench sel={sel} via SQL");
+        let via_sql = common::assert_engines_agree(&bound, &db.snapshot(), &ctx);
+        reference.assert_same(&via_sql, &ctx);
     }
 }

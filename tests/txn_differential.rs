@@ -1,6 +1,6 @@
 //! The versioned write path's core correctness contract: with a non-empty
 //! delta — including tombstoned rows — every engine in `EngineKind::all()`
-//! returns results identical to a merged-then-scanned table, on the
+//! (and the compiled engine at four threads) returns results identical to a merged-then-scanned table, on the
 //! microbenchmark and on SAP-SD under the Q6 write mix.
 
 use mrdb::prelude::*;
@@ -88,20 +88,20 @@ fn microbench_delta_matches_merged_on_all_engines_and_layouts() {
 
         for sel in [0.0, 0.05, 1.0] {
             let plan = microbench::query(sel);
-            for kind in EngineKind::all() {
-                let a = live.run(&plan, kind).unwrap();
-                let b = merged.run(&plan, kind).unwrap();
-                a.assert_same(&b, &format!("{lname}/sel={sel}/{kind:?} delta vs merged"));
+            for (kind, engine) in common::engines(&plan) {
+                let a = live.run_with(&plan, engine).unwrap();
+                let b = merged.run_with(&plan, engine).unwrap();
+                a.assert_same(&b, &format!("{lname}/sel={sel}/{kind} delta vs merged"));
             }
         }
         // bare scans must agree row-for-row in order, not just as sets
         let scan = QueryBuilder::scan("R").build();
-        for kind in EngineKind::all() {
-            let a = live.run(&scan, kind).unwrap();
-            let b = merged.run(&scan, kind).unwrap();
+        for (kind, engine) in common::engines(&scan) {
+            let a = live.run_with(&scan, engine).unwrap();
+            let b = merged.run_with(&scan, engine).unwrap();
             assert_eq!(
                 a.rows, b.rows,
-                "{lname}/{kind:?}: delta scan order differs from merged scan order"
+                "{lname}/{kind}: delta scan order differs from merged scan order"
             );
         }
     }
@@ -127,13 +127,10 @@ fn sapsd_q6_mix_delta_matches_merged_on_all_queries() {
     // probe side carries the delta — on every engine
     for q in sapsd::queries(150) {
         let Some(plan) = q.as_plan() else { continue };
-        for kind in EngineKind::all() {
-            if !kind.supports(plan) {
-                continue;
-            }
-            let a = live.run(plan, kind).unwrap();
-            let b = merged.run(plan, kind).unwrap();
-            a.assert_same(&b, &format!("{}/{kind:?} delta vs merged", q.name));
+        for (kind, engine) in common::engines(plan) {
+            let a = live.run_with(plan, engine).unwrap();
+            let b = merged.run_with(plan, engine).unwrap();
+            a.assert_same(&b, &format!("{}/{kind} delta vs merged", q.name));
         }
     }
 }
