@@ -3,7 +3,8 @@
 //! The dispatch-layer claim behind `Database::execute`: routing every query
 //! through the cost-based planner should track the best fixed engine (and
 //! beat any single fixed choice across a mixed workload), because the model
-//! picks scan-vs-index per access path and the cheapest engine per plan.
+//! picks scan-vs-index per access path and the thread count per plan, and
+//! every planned scan runs on the compiled engine.
 //!
 //! Two workloads:
 //! * the Fig.-3 microbenchmark across selectivities and layouts,
@@ -45,6 +46,7 @@ fn engine_cell(fixed: &[(EngineKind, u64)]) -> String {
         .join(" ")
 }
 
+/// The planner's choice: access path and thread count.
 fn headline(db: &Database, plan: &pdsm_plan::logical::LogicalPlan) -> String {
     let phys = db.plan_query(plan).expect("plan");
     let access = if phys.access().is_indexed() {
@@ -52,7 +54,7 @@ fn headline(db: &Database, plan: &pdsm_plan::logical::LogicalPlan) -> String {
     } else {
         "scan"
     };
-    format!("{access}/{}", phys.engine)
+    format!("{access} (threads {})", phys.threads)
 }
 
 fn main() {

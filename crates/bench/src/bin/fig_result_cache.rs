@@ -22,7 +22,7 @@
 //!         [--rows 200000] [--reps 200] [--json BENCH_result_cache.json]`
 
 use pdsm_bench::{fmt_num, percentile, print_table, Args, Json};
-use pdsm_core::{Database, ResultCacheConfig};
+use pdsm_core::{Database, EngineKind, ResultCacheConfig};
 use pdsm_plan::builder::QueryBuilder;
 use pdsm_plan::expr::Expr;
 use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan};
@@ -121,7 +121,7 @@ fn main() {
         // What `execute` did before the result cache existed: plan-cache
         // lookup, then dispatch.
         let p = pre.plan_query(&q).unwrap();
-        pre.run(&p.logical, p.engine.into()).unwrap();
+        pre.run(&p.logical, EngineKind::Compiled).unwrap();
     });
     let exec_p50 = percentile(&exec_lat, 0.50);
     let emu_p50 = percentile(&emu_lat, 0.50);

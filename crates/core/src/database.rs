@@ -67,7 +67,7 @@ use pdsm_layout::workload::{Workload, WorkloadQuery};
 use pdsm_plan::expr::{CmpOp, Expr};
 use pdsm_plan::fingerprint::{pipeline_fragment, plan_fingerprint, substitute_fragment};
 use pdsm_plan::logical::LogicalPlan;
-use pdsm_plan::physical::{AccessPath, EngineChoice, PhysicalPlan};
+use pdsm_plan::physical::{AccessPath, PhysicalPlan};
 use pdsm_pool::{BufferPool, PoolStats};
 use pdsm_storage::{ColId, DataType, Layout, Schema, Table, Value};
 use pdsm_store::{FsyncMode, Manifest};
@@ -127,8 +127,9 @@ impl EngineKind {
     /// Can this engine execute `plan`? Everything but the vectorized
     /// engine handles the full operator vocabulary; the vectorized engine
     /// is limited to single-table scan pipelines. Differential drivers
-    /// iterate [`EngineKind::all`] and skip unsupported combinations; the
-    /// planner never selects an engine that cannot run the plan.
+    /// iterate [`EngineKind::all`] and skip unsupported combinations;
+    /// planned queries always run on the compiled engine, which supports
+    /// every plan.
     pub fn supports(&self, plan: &LogicalPlan) -> bool {
         match self {
             EngineKind::Vectorized => VectorizedEngine::supports(plan),
@@ -162,28 +163,6 @@ impl std::str::FromStr for EngineKind {
             other => Err(format!(
                 "unknown engine {other:?} (expected volcano|bulk|compiled|vectorized)"
             )),
-        }
-    }
-}
-
-impl From<EngineChoice> for EngineKind {
-    fn from(c: EngineChoice) -> Self {
-        match c {
-            EngineChoice::Volcano => EngineKind::Volcano,
-            EngineChoice::Bulk => EngineKind::Bulk,
-            EngineChoice::Vectorized => EngineKind::Vectorized,
-            EngineChoice::Compiled => EngineKind::Compiled,
-        }
-    }
-}
-
-impl From<EngineKind> for EngineChoice {
-    fn from(k: EngineKind) -> Self {
-        match k {
-            EngineKind::Volcano => EngineChoice::Volcano,
-            EngineKind::Bulk => EngineChoice::Bulk,
-            EngineKind::Vectorized => EngineChoice::Vectorized,
-            EngineKind::Compiled => EngineChoice::Compiled,
         }
     }
 }
@@ -1253,7 +1232,7 @@ impl Database {
     /// Execute `plan` through the cost-based planner: lower it to a
     /// [`PhysicalPlan`] (cached per catalog/generation fingerprint), record
     /// it in the observed workload, consult the result cache for admitted
-    /// plans, and dispatch to the chosen engine or index probe. Results
+    /// plans, and run the chosen index probe or compiled scan. Results
     /// are byte-identical to every fixed engine — cached or not.
     pub fn execute(&self, plan: &LogicalPlan) -> Result<QueryResult, DbError> {
         // One rendering serves both the plan cache and the observed-
@@ -1397,7 +1376,8 @@ impl Database {
 
     /// Execute an already-lowered plan with no cache interaction:
     /// index-probe pipelines run the overlay-aware probe + delta-tail
-    /// union; everything else dispatches to the chosen engine.
+    /// union; everything else runs on the compiled engine at the plan's
+    /// thread count.
     fn execute_physical_uncached(&self, phys: &PhysicalPlan) -> Result<QueryResult, DbError> {
         if phys.access().is_indexed() {
             if let Some(cand) = self.index_candidate(&phys.logical) {
@@ -1407,7 +1387,7 @@ impl Database {
             }
             // Index dropped (or reshaped) since planning — scan instead.
         }
-        on_planned_engine(phys, |engine| self.run_with(&phys.logical, engine))
+        self.run_with(&phys.logical, &CompiledEngine::with_threads(phys.threads))
     }
 
     /// Serve `plan` from a cached filtered-scan fragment: when `plan` is a
@@ -1841,9 +1821,9 @@ impl DbSnapshot {
         Ok(QueryResult::new(self.output_names(plan), output))
     }
 
-    /// Execute `plan` with the planner choosing the engine. Snapshots
-    /// carry no secondary indexes, so access-path selection reduces to
-    /// engine selection over the pinned versions.
+    /// Execute `plan` with the planner choosing the thread count.
+    /// Snapshots carry no secondary indexes, so every plan is a full scan
+    /// on the compiled engine over the pinned versions.
     pub fn execute(&self, plan: &LogicalPlan) -> Result<QueryResult, DbError> {
         let mut views = HashMap::new();
         for name in plan.tables() {
@@ -1869,7 +1849,7 @@ impl DbSnapshot {
                 .unwrap_or_default()
         };
         let phys = planner.plan_views(views, plan, &table_floats);
-        let output = on_planned_engine(&phys, |engine| engine.execute(plan, self))?;
+        let output = CompiledEngine::with_threads(phys.threads).execute(plan, self)?;
         Ok(QueryResult::new(self.output_names(plan), output))
     }
 }
@@ -1881,15 +1861,6 @@ impl TableProvider for DbSnapshot {
 
     fn overlay(&self, name: &str) -> Option<Overlay<'_>> {
         self.tables.get(name).and_then(|s| s.overlay())
-    }
-}
-
-/// Call `f` with the engine `phys` was planned for: the compiled engine at
-/// the plan's thread count, any other engine as is.
-fn on_planned_engine<R>(phys: &PhysicalPlan, f: impl FnOnce(&dyn Engine) -> R) -> R {
-    match phys.engine {
-        EngineChoice::Compiled => f(&CompiledEngine::with_threads(phys.threads)),
-        other => f(EngineKind::from(other).engine()),
     }
 }
 

@@ -3,10 +3,9 @@
 //! The integrated memory-resident DBMS this reproduction delivers: a
 //! [`Database`] catalog of vertically partitioned tables, secondary index
 //! maintenance, the cost-based [`planner`] that lowers every query to a
-//! [`pdsm_plan::physical::PhysicalPlan`] — choosing engine
-//! (Volcano / bulk / vectorized / compiled, the last on one or N threads)
-//! and access path
+//! [`pdsm_plan::physical::PhysicalPlan`] — choosing access path
 //! (full scan vs. main-index probe + delta-tail union, §VI-B, Fig. 10)
+//! and thread count (the compiled engine on one or N threads)
 //! via `pdsm_cost::estimate` — and the [`advisor`] that drives the
 //! cost-model-based layout optimizer (§V). Queries enter through
 //! [`Database::execute`]; [`Database::run`] forces an engine.

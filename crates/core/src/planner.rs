@@ -8,21 +8,24 @@
 //! 2. emits the query's access-pattern program (`pdsm_plan::emit_pattern`,
 //!    §IV-D) and prices it with the prefetch-aware cost function
 //!    [`pdsm_cost::cost::estimate`] (Eq. 5–6) — the memory half `T_Mem`,
-//! 3. adds a per-engine CPU term (per-tuple processing cycles of each
-//!    processing model, calibrated against the Fig.-3 ratios) to score
-//!    every *engine* alternative,
-//! 4. prices a main-index probe + delta-tail union as an *access-path*
+//! 3. adds the compiled engine's per-tuple CPU term to price the full
+//!    *scan* alternative, on one thread or split across the database's
+//!    threads when that is cheaper and every aggregate merges exactly
+//!    (Fig. 3 finds compiled processing cheapest at every selectivity and
+//!    layout, so the other processing models are never priced),
+//! 4. prices a main-index probe + delta-tail union as an *index*
 //!    alternative when the plan shape and catalog allow one,
-//! 5. and returns the cheapest combination as a [`PhysicalPlan`], with
-//!    every rejected alternative recorded for `explain()`.
+//! 5. and returns the cheaper access path with its thread count as a
+//!    [`PhysicalPlan`], with the rejected alternative recorded for
+//!    `explain()`.
 //!
 //! The planner never picks an index path the model scores worse than the
-//! best full scan — that invariant is property-tested in
+//! full scan — that invariant is property-tested in
 //! `tests/planner.rs`.
 
 use crate::database::{Database, DbError, IndexCandidate};
 use pdsm_cost::{cost, Atom, Hierarchy, Pattern};
-use pdsm_exec::{float_flags, merges_exactly, zone_preds, VectorizedEngine};
+use pdsm_exec::{float_flags, merges_exactly, zone_preds};
 use pdsm_index::Index;
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_plan::patterns::{emit_pattern, TableView};
@@ -30,17 +33,8 @@ use pdsm_plan::physical::{AccessPath, CostSummary, EngineChoice, PhysicalPlan, P
 use pdsm_plan::selectivity::estimate_selectivity;
 use std::collections::HashMap;
 
-/// Per-tuple CPU cycles of the Volcano model: two virtual calls plus
-/// `Value` boxing per operator per tuple (the paper's "function pointer
-/// chasing"; Fig. 3 measures roughly this ratio over compiled).
-pub const CPU_VOLCANO: f64 = 60.0;
-/// Per-tuple CPU cycles of bulk processing: tight typed loops, but one
-/// full pass (and materialized intermediate) per primitive.
-pub const CPU_BULK: f64 = 10.0;
-/// Per-tuple CPU cycles of vectorized processing: primitive dispatch
-/// amortized over a vector, selection-vector bookkeeping per tuple.
-pub const CPU_VECTORIZED: f64 = 4.0;
-/// Per-tuple CPU cycles of the compiled (fused-pipeline) model.
+/// Per-tuple CPU cycles of the compiled (fused-pipeline) model — the
+/// engine every planned scan runs on.
 pub const CPU_COMPILED: f64 = 1.5;
 /// Fixed cycles to launch, barrier and join a multi-threaded pipeline —
 /// the reason tiny queries stay single-threaded.
@@ -86,16 +80,14 @@ struct WorkEst {
     /// Estimated rows flowing out of the node.
     card: f64,
     /// Total tuples processed (Σ over operators of their input rows) —
-    /// the multiplier of the per-engine CPU constants.
+    /// the multiplier of [`CPU_COMPILED`].
     tuples: f64,
-    /// Rows materialized at operator boundaries — what the bulk model
-    /// additionally writes and re-reads.
-    mat_rows: f64,
 }
 
 impl Planner {
-    /// Lower `logical` against `db`'s catalog: choose engine and access
-    /// path via the cost model and record every priced alternative.
+    /// Lower `logical` against `db`'s catalog: choose access path and
+    /// thread count via the cost model and record every priced
+    /// alternative.
     pub fn plan(&self, db: &Database, logical: &LogicalPlan) -> Result<PhysicalPlan, DbError> {
         let views = self.views_for(db, logical)?;
         let idx = db.index_candidate(logical);
@@ -107,7 +99,7 @@ impl Planner {
     }
 
     /// Lower against prebuilt views with no index catalog (the snapshot
-    /// path): engine choice only. `table_floats(name)` flags the `Float64`
+    /// path): a full scan, so only the thread count is chosen. `table_floats(name)` flags the `Float64`
     /// columns of each table.
     pub fn plan_views(
         &self,
@@ -160,23 +152,21 @@ impl Planner {
         // are never touched by the compiled engine's scans, at any thread
         // count, so its memory traffic and per-tuple work shrink linearly
         // with the surviving fraction.
-        // Volcano/bulk/vectorized read every block and are priced unscaled.
         let (zone_blocks, zone_pruned) = zone_stats(db, logical);
         let survived = pdsm_cost::survived_fraction(zone_blocks, zone_pruned);
 
         // --- disk tier: faulting cold checkpoint extents ---
-        // Every engine streams a cold table's extents through the buffer
-        // pool the same way (zone-refuted extents skipped, resident ones
-        // free), so the disk term is one constant added to every
-        // alternative — it never flips an engine choice, it makes the
-        // totals honest and prices scan-vs-index on equal footing.
+        // A scan streams a cold table's extents through the buffer pool
+        // (zone-refuted extents skipped, resident ones free); the disk term
+        // is one constant added to both alternatives — it never flips the
+        // thread count, it makes the totals honest and prices
+        // scan-vs-index on equal footing.
         let (extents_total, extents_resident, extents_pruned, disk) = cold_stats(db, logical);
 
-        // --- engine alternatives (all run the same full-scan pattern) ---
-        // The compiled engine runs on one thread, or splits its pipelines
-        // across `threads` workers for a fixed fork/join overhead. The
-        // split is priced only where it is what runs: when every aggregate
-        // merges exactly.
+        // --- scan alternative: the compiled engine's full scan ---
+        // It runs on one thread, or splits its pipelines across `threads`
+        // workers for a fixed fork/join overhead. The split is priced only
+        // where it is what runs: when every aggregate merges exactly.
         let compiled_at = |n: usize| {
             let split = n as f64;
             let fork_join = if n > 1 {
@@ -191,7 +181,7 @@ impl Planner {
             }
         };
         let sequential = compiled_at(1);
-        let (threads, compiled) = match self.threads {
+        let (mut threads, scan) = match self.threads {
             n if n > 1
                 && merges_exactly(logical, table_floats)
                 && compiled_at(n).total() < sequential.total() =>
@@ -200,61 +190,14 @@ impl Planner {
             }
             _ => (1, sequential),
         };
-        let mut engines: Vec<(EngineChoice, CostSummary)> =
-            vec![(EngineChoice::Compiled, compiled)];
-        if VectorizedEngine::supports(logical) {
-            engines.push((
-                EngineChoice::Vectorized,
-                CostSummary {
-                    mem_cycles: mem,
-                    cpu_cycles: CPU_VECTORIZED * work.tuples,
-                    disk_cycles: disk,
-                },
-            ));
-        }
-        // Bulk pays the shared pattern plus a write + re-read of every
-        // materialized intermediate.
-        let mat = bulk_materialization_cycles(work.mat_rows, &self.hierarchy);
-        engines.push((
-            EngineChoice::Bulk,
-            CostSummary {
-                mem_cycles: mem + mat,
-                cpu_cycles: CPU_BULK * work.tuples,
-                disk_cycles: disk,
-            },
-        ));
-        engines.push((
-            EngineChoice::Volcano,
-            CostSummary {
-                mem_cycles: mem,
-                cpu_cycles: CPU_VOLCANO * work.tuples,
-                disk_cycles: disk,
-            },
-        ));
-
-        let (best_engine, best_engine_cost) = engines
-            .iter()
-            .min_by(|a, b| a.1.total().partial_cmp(&b.1.total()).unwrap())
-            .map(|(e, c)| (*e, *c))
-            .expect("engine list is non-empty");
-
-        let mut alternatives: Vec<(String, f64)> = engines
-            .iter()
-            .map(|(e, c)| (format!("scan/{e}"), c.total()))
-            .collect();
+        let mut alternatives = vec![("scan".to_string(), scan.total())];
         // The cheapest one-thread alternative: the total work one
         // re-execution costs, whatever the thread count.
-        let mut work_cycles = engines
-            .iter()
-            .map(|(e, c)| match e {
-                EngineChoice::Compiled => sequential.total(),
-                _ => c.total(),
-            })
-            .fold(f64::INFINITY, f64::min);
+        let mut work_cycles = sequential.total();
 
         // --- access-path alternative: index probe + delta-tail union ---
         let mut chosen_access = AccessPath::FullScan;
-        let mut chosen_cost = best_engine_cost;
+        let mut chosen_cost = scan;
         let mut probe_rows = 0.0;
         if let (Some(db), Some(cand)) = (db, idx) {
             if let Some((mut cost, hits)) = self.index_cost(db, logical, &cand, &views) {
@@ -265,6 +208,7 @@ impl Planner {
                     chosen_access = cand.access.clone();
                     chosen_cost = cost;
                     probe_rows = hits;
+                    threads = 1;
                 }
             }
         }
@@ -330,11 +274,8 @@ impl Planner {
 
         PhysicalPlan {
             logical: logical.clone(),
-            engine: best_engine,
-            threads: match (&chosen_access, best_engine) {
-                (AccessPath::FullScan, EngineChoice::Compiled) => threads,
-                _ => 1,
-            },
+            engine: EngineChoice::Compiled,
+            threads,
             pipelines,
             cost: chosen_cost,
             work_cycles,
@@ -586,20 +527,6 @@ fn indexed_conjunct_selectivity(
     None
 }
 
-/// Cycles bulk processing spends writing and re-reading `rows`
-/// materialized 8-byte intermediates.
-fn bulk_materialization_cycles(rows: f64, hw: &Hierarchy) -> f64 {
-    if rows < 1.0 {
-        return 0.0;
-    }
-    let n = rows as u64;
-    let p = Pattern::seq(vec![
-        Pattern::atom(Atom::s_trav(n, 8)),
-        Pattern::atom(Atom::s_trav(n, 8)),
-    ]);
-    cost::estimate(&p, hw).total_cycles
-}
-
 /// Leftmost base-table cardinality under `plan` (join match probability).
 fn base_rows(plan: &LogicalPlan, views: &HashMap<String, TableView>) -> f64 {
     match plan {
@@ -629,18 +556,14 @@ fn base_stats<'a>(
     }
 }
 
-/// Propagate cardinality, tuple-processing work and materialized rows
-/// through the plan (the CPU side of engine scoring; the memory side comes
-/// from the emitted pattern).
+/// Propagate cardinality and tuple-processing work through the plan (the
+/// CPU side of the scan's cost; the memory side comes from the emitted
+/// pattern).
 fn work_est(plan: &LogicalPlan, views: &HashMap<String, TableView>) -> WorkEst {
     match plan {
         LogicalPlan::Scan { table } => {
             let n = views.get(table).map(|v| v.n_rows as f64).unwrap_or(0.0);
-            WorkEst {
-                card: n,
-                tuples: n,
-                mat_rows: 0.0,
-            }
+            WorkEst { card: n, tuples: n }
         }
         LogicalPlan::Select {
             input,
@@ -653,13 +576,11 @@ fn work_est(plan: &LogicalPlan, views: &HashMap<String, TableView>) -> WorkEst {
                 .clamp(0.0, 1.0);
             w.tuples += w.card;
             w.card *= sel;
-            w.mat_rows += w.card;
             w
         }
         LogicalPlan::Project { input, .. } => {
             let mut w = work_est(input, views);
             w.tuples += w.card;
-            w.mat_rows += w.card;
             w
         }
         LogicalPlan::Aggregate {
@@ -672,7 +593,6 @@ fn work_est(plan: &LogicalPlan, views: &HashMap<String, TableView>) -> WorkEst {
             } else {
                 (100f64.powi(group_by.len() as i32)).min(w.card.max(1.0))
             };
-            w.mat_rows += groups;
             w.card = groups;
             w
         }
@@ -683,13 +603,11 @@ fn work_est(plan: &LogicalPlan, views: &HashMap<String, TableView>) -> WorkEst {
             WorkEst {
                 card: r.card * match_prob,
                 tuples: l.tuples + r.tuples + l.card + r.card,
-                mat_rows: l.mat_rows + r.mat_rows + l.card,
             }
         }
         LogicalPlan::Sort { input, .. } => {
             let mut w = work_est(input, views);
             w.tuples += w.card * w.card.max(2.0).log2();
-            w.mat_rows += w.card;
             w
         }
         LogicalPlan::Limit { input, n } => {
@@ -739,13 +657,8 @@ mod tests {
         let phys = planner().plan(&db, &plan).unwrap();
         assert_eq!(phys.engine, EngineChoice::Compiled);
         assert_eq!(*phys.access(), AccessPath::FullScan);
-        // every engine alternative priced
-        for e in ["compiled", "vectorized", "bulk", "volcano"] {
-            assert!(
-                phys.cost_of(&format!("scan/{e}")).is_some(),
-                "missing alternative {e}"
-            );
-        }
+        assert_eq!(phys.threads, 1);
+        assert_eq!(phys.cost_of("scan"), Some(phys.cost.total()));
     }
 
     #[test]
@@ -762,9 +675,9 @@ mod tests {
         assert_eq!(phys.engine, EngineChoice::Compiled);
         assert_eq!(phys.threads, 16);
         assert!(phys.explain().contains("engine: compiled (threads 16)"));
-        // one alternative per engine: the thread count is not an engine
-        assert!(phys.alternatives.iter().all(|(l, _)| l != "scan/parallel"));
-        assert_eq!(phys.cost_of("scan/compiled"), Some(phys.cost.total()));
+        // one scan alternative: the thread count is not an alternative
+        assert_eq!(phys.alternatives.len(), 1);
+        assert_eq!(phys.cost_of("scan"), Some(phys.cost.total()));
     }
 
     #[test]
@@ -906,7 +819,5 @@ mod tests {
         assert_eq!(phys.pipelines.len(), 2);
         assert_eq!(phys.pipelines[0].table, "r");
         assert_eq!(phys.pipelines[1].table, "s");
-        // vectorized cannot run joins, so it must not be priced
-        assert!(phys.cost_of("scan/vectorized").is_none());
     }
 }

@@ -629,7 +629,7 @@ fn aggregate_chunk(
                     // count(*) counts rows: emulate via count of non-null 1s
                 }
                 Some(Expr::Col(c)) => match &chunk.cols[*c] {
-                    ColBuf::I32(v) => v.iter().for_each(|&x| acc.update_i64(x as i64)),
+                    ColBuf::I32(v) => v.iter().for_each(|&x| acc.update_i32(x)),
                     ColBuf::I64(v) => v.iter().for_each(|&x| acc.update_i64(x)),
                     ColBuf::F64(v) => v.iter().for_each(|&x| acc.update_f64(x)),
                     other => {

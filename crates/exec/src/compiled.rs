@@ -1200,7 +1200,7 @@ impl AggReader<'_> {
             AggReader::CountStar => acc.update_i64(1),
             AggReader::I32(r, nc) => {
                 if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                    acc.update_i64(r.get(i) as i64);
+                    acc.update_i32(r.get(i));
                 }
             }
             AggReader::I64(r, nc) => {

@@ -268,6 +268,19 @@ impl Accumulator {
     /// construction per row).
     #[inline(always)]
     pub fn update_i64(&mut self, x: i64) {
+        self.update_int(x, Value::Int64);
+    }
+
+    /// Typed fast path for `Int32` inputs: min/max keep `Int32`.
+    #[inline(always)]
+    pub fn update_i32(&mut self, x: i32) {
+        self.update_int(x as i64, |_| Value::Int32(x));
+    }
+
+    /// Fold one integer; `typed` rebuilds the input's own `Value` type
+    /// for a new min/max.
+    #[inline(always)]
+    fn update_int(&mut self, x: i64, typed: impl FnOnce(i64) -> Value) {
         self.count += 1;
         match self.func {
             AggFunc::Count => {}
@@ -275,7 +288,22 @@ impl Accumulator {
                 self.sum_i += x;
                 self.sum_f += x as f64;
             }
-            AggFunc::Min | AggFunc::Max => self.update_extreme_i64(x),
+            AggFunc::Min | AggFunc::Max => {
+                let keep = match &self.extreme {
+                    None => true,
+                    Some(m) => {
+                        let cur = m.as_i64().unwrap_or(i64::MAX);
+                        if self.func == AggFunc::Min {
+                            x < cur
+                        } else {
+                            x > cur
+                        }
+                    }
+                };
+                if keep {
+                    self.extreme = Some(typed(x));
+                }
+            }
         }
     }
 
@@ -305,25 +333,6 @@ impl Accumulator {
                     self.extreme = Some(v);
                 }
             }
-        }
-    }
-
-    #[inline]
-    fn update_extreme_i64(&mut self, x: i64) {
-        let keep = match &self.extreme {
-            None => true,
-            Some(m) => {
-                let cur = m.as_i64().unwrap_or(i64::MAX);
-                if self.func == AggFunc::Min {
-                    x < cur
-                } else {
-                    x > cur
-                }
-            }
-        };
-        if keep {
-            // preserve Int32 typing when the value fits and input was i32-like
-            self.extreme = Some(Value::Int64(x));
         }
     }
 
@@ -442,6 +451,15 @@ mod tests {
             b.update_i64(i);
         }
         assert_eq!(a.finish(), b.finish());
+        for func in [AggFunc::Min, AggFunc::Max] {
+            let mut a = Accumulator::new(func);
+            let mut b = Accumulator::new(func);
+            for x in [3, -7, 9] {
+                a.update(&Value::Int32(x));
+                b.update_i32(x);
+            }
+            assert_eq!(a.finish(), b.finish());
+        }
         let mut a = Accumulator::new(AggFunc::Min);
         let mut b = Accumulator::new(AggFunc::Min);
         for x in [3.0f64, -1.5, 9.0] {

@@ -15,7 +15,7 @@
 //!   query can be priced under any hypothetical layout — the mechanism the
 //!   BPi layout optimizer drives.
 //! * [`physical`] — the planner's output: a logical plan annotated with the
-//!   model-chosen engine and per-pipeline access path, plus an `explain()`
+//!   model-chosen per-pipeline access path and thread count, plus an `explain()`
 //!   rendering. Lowering lives in `pdsm-core::planner`.
 //! * [`names`] — SQL-flavoured rendering of expressions and the output
 //!   column names of a plan (result framing, SQL renderer).

@@ -1,12 +1,12 @@
 //! Physical query plans: the planner's output.
 //!
 //! A [`PhysicalPlan`] is a [`LogicalPlan`] annotated with the decisions the
-//! cost-based planner made for it: which execution engine runs the query
-//! ([`EngineChoice`]), which access path feeds each pipeline
-//! ([`AccessPath`] — a full scan through the engine, or a main-store index
-//! probe unioned with a scan of the live delta tail), and what the
+//! cost-based planner made for it: which access path feeds each pipeline
+//! ([`AccessPath`] — a full scan through the compiled engine, or a
+//! main-store index probe unioned with a scan of the live delta tail), how
+//! many threads the scan runs on ([`PhysicalPlan::threads`]), and what the
 //! prefetch-aware cost model (`pdsm_cost::estimate`) predicted for the
-//! chosen and the rejected alternatives. [`PhysicalPlan::explain`] renders
+//! chosen and the rejected alternative. [`PhysicalPlan::explain`] renders
 //! the whole decision for humans — the `EXPLAIN` of this system.
 //!
 //! The types here are pure data: lowering (`pdsm-core`'s `planner` module)
@@ -16,18 +16,11 @@
 use crate::logical::LogicalPlan;
 use pdsm_storage::{ColId, Value};
 
-/// Which engine the planner selected. Mirrors `pdsm-core`'s `EngineKind`
-/// (which adds the engine objects themselves); the planner layer only needs
-/// the name, so the enum lives here where `pdsm-exec` is not a dependency.
+/// The engine a planned query runs on. Planned scans always run on the
+/// compiled engine (the paper's Fig. 3 finds it cheapest everywhere), so
+/// this has one variant; it remains for callers that report the name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineChoice {
-    /// Tuple-at-a-time iterators (high per-tuple interpretation cost).
-    Volcano,
-    /// Column-at-a-time primitives with full materialization.
-    Bulk,
-    /// Block-at-a-time processing with cache-resident selection vectors.
-    /// Only eligible for single-table scan pipelines.
-    Vectorized,
     /// Data-centric fused pipelines (the paper's model), on
     /// [`PhysicalPlan::threads`] workers.
     Compiled,
@@ -37,9 +30,6 @@ impl EngineChoice {
     /// Lower-case engine name, as used in `explain()` and reports.
     pub fn name(&self) -> &'static str {
         match self {
-            EngineChoice::Volcano => "volcano",
-            EngineChoice::Bulk => "bulk",
-            EngineChoice::Vectorized => "vectorized",
             EngineChoice::Compiled => "compiled",
         }
     }
@@ -127,12 +117,13 @@ impl PipelinePlan {
 
 /// Model-predicted cycles, split the way the paper splits them: memory
 /// stalls (Eq. 5–6 over the emitted access pattern) and CPU work (per-tuple
-/// processing cost of the chosen engine).
+/// processing cost of the chosen access path).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostSummary {
     /// Memory-hierarchy cycles from `pdsm_cost::estimate`.
     pub mem_cycles: f64,
-    /// Per-tuple CPU cycles of the chosen engine's processing model.
+    /// CPU cycles of the chosen access path: the compiled engine's
+    /// per-tuple work for a scan, per-hit reconstruction for an index probe.
     pub cpu_cycles: f64,
     /// Disk-tier cycles (`pdsm_cost::DiskTier`) to fault the cold,
     /// non-pruned checkpoint extents this scan must touch. Zero for fully
@@ -148,22 +139,22 @@ impl CostSummary {
     }
 }
 
-/// A fully lowered query: logical plan + engine + access paths + the cost
-/// estimates that justified them.
+/// A fully lowered query: logical plan + access paths + thread count + the
+/// cost estimates that justified them.
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
     /// The logical plan this was lowered from.
     pub logical: LogicalPlan,
-    /// Engine the plan executes on (ignored for pure index probes, which
-    /// bypass the engines entirely).
+    /// Engine a scan executes on — always the compiled engine (index
+    /// probes bypass the engines entirely).
     pub engine: EngineChoice,
-    /// Workers each scan pipeline runs on: more than one only for the
-    /// compiled engine, when the model priced the split cheaper.
+    /// Workers each scan pipeline runs on: more than one only for a full
+    /// scan the model priced cheaper split.
     pub threads: usize,
     /// One entry per pipeline, in scan order.
     pub pipelines: Vec<PipelinePlan>,
-    /// Predicted cost of the chosen (engine, access path) combination —
-    /// its critical path when `threads > 1`.
+    /// Predicted cost of the chosen access path at the chosen thread
+    /// count — its critical path when `threads > 1`.
     pub cost: CostSummary,
     /// Predicted cycles of the cheapest one-thread alternative: the total
     /// work one re-execution costs, whatever the thread count. What a
@@ -171,8 +162,8 @@ pub struct PhysicalPlan {
     /// eviction on it.
     pub work_cycles: f64,
     /// Every alternative the planner priced, as `(label, total cycles)`,
-    /// sorted cheapest first. Labels are `"scan/<engine>"` and `"index"`;
-    /// the first entry is the chosen one.
+    /// sorted cheapest first. Labels are `"scan"` and `"index"`; the first
+    /// entry is the chosen one.
     pub alternatives: Vec<(String, f64)>,
     /// Estimated result cardinality.
     pub est_out_rows: f64,
@@ -198,7 +189,7 @@ impl PhysicalPlan {
     }
 
     /// Predicted total cycles of the alternative labelled `label`
-    /// (e.g. `"scan/compiled"`, `"index"`), if it was priced.
+    /// (`"scan"` or `"index"`), if it was priced.
     pub fn cost_of(&self, label: &str) -> Option<f64> {
         self.alternatives
             .iter()
@@ -212,21 +203,15 @@ impl PhysicalPlan {
         (self.work_cycles - self.copy_out_cycles).max(0.0)
     }
 
-    /// Cheapest full-scan alternative (the cost the chosen path had to
-    /// beat when an index path was selected).
+    /// The full-scan alternative's cost (what the chosen path had to beat
+    /// when an index path was selected).
     pub fn best_scan_cost(&self) -> Option<f64> {
-        self.alternatives
-            .iter()
-            .filter(|(l, _)| l.starts_with("scan/"))
-            .map(|(_, c)| *c)
-            .fold(None, |acc: Option<f64>, c| {
-                Some(acc.map_or(c, |a| a.min(c)))
-            })
+        self.cost_of("scan")
     }
 
-    /// Human-readable rendering of the plan: chosen engine and access path
-    /// per pipeline, the model's cost breakdown, and every priced
-    /// alternative. This is the system's `EXPLAIN`.
+    /// Human-readable rendering of the plan: thread count, access path per
+    /// pipeline, the model's cost breakdown, and every priced alternative.
+    /// This is the system's `EXPLAIN`.
     pub fn explain(&self) -> String {
         self.explain_with(None)
     }
@@ -240,11 +225,10 @@ impl PhysicalPlan {
     pub fn explain_with(&self, cache: Option<&str>) -> String {
         let mut s = String::new();
         s.push_str("physical plan\n");
-        s.push_str(&format!("  engine: {}", self.engine));
-        if self.engine == EngineChoice::Compiled {
-            s.push_str(&format!(" (threads {})", self.threads));
-        }
-        s.push('\n');
+        s.push_str(&format!(
+            "  engine: {} (threads {})\n",
+            self.engine, self.threads
+        ));
         for (i, p) in self.pipelines.iter().enumerate() {
             s.push_str(&format!(
                 "  pipeline {i}: {} via {} — est {:.0} of {} rows",
@@ -336,11 +320,7 @@ mod tests {
                 disk_cycles: 0.0,
             },
             work_cycles: 1000.0,
-            alternatives: vec![
-                ("index".to_string(), 1000.0),
-                ("scan/compiled".to_string(), 5000.0),
-                ("scan/volcano".to_string(), 90000.0),
-            ],
+            alternatives: vec![("index".to_string(), 1000.0), ("scan".to_string(), 5000.0)],
             est_out_rows: 2.0,
             cache_admit: false,
             copy_out_cycles: 0.0,
@@ -355,7 +335,7 @@ mod tests {
         assert!(e.contains("index probe col 0 = 7"), "{e}");
         assert!(e.contains("(+3 delta)"), "{e}");
         assert!(e.contains("cost: 1000 cycles (mem 900 + cpu 100)"), "{e}");
-        assert!(e.contains("scan/volcano=90000"), "{e}");
+        assert!(e.contains("alternatives: index=1000 scan=5000\n"), "{e}");
     }
 
     #[test]
@@ -413,7 +393,7 @@ mod tests {
     fn accessors() {
         let p = sample();
         assert!(p.access().is_indexed());
-        assert_eq!(p.cost_of("scan/compiled"), Some(5000.0));
+        assert_eq!(p.cost_of("scan"), Some(5000.0));
         assert_eq!(p.best_scan_cost(), Some(5000.0));
         assert_eq!(p.cost.total(), 1000.0);
         assert_eq!(EngineChoice::Compiled.to_string(), "compiled");

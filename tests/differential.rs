@@ -202,3 +202,90 @@ fn empty_table_all_plans() {
         run_all(&plan, &db, "empty_table");
     }
 }
+
+/// MIN/MAX keep their input column's type (`Int32`, `Int64`, `Float64`) on
+/// every engine, on the compiled engine at four threads and through the
+/// planner, with or without a live delta tail. `QueryOutput::assert_same`
+/// renders values to strings, so this compares the raw rows with `==`.
+#[test]
+fn min_max_keep_the_column_type_on_every_path() {
+    let schema = Schema::new(vec![
+        ColumnDef::new("g", DataType::Int32),
+        ColumnDef::new("a", DataType::Int32),
+        ColumnDef::new("b", DataType::Int64),
+        ColumnDef::new("x", DataType::Float64),
+    ]);
+    let row = |g: i32, a: i32| {
+        vec![
+            Value::Int32(g),
+            Value::Int32(a),
+            Value::Int64(a as i64 * 1_000_000_000),
+            Value::Float64(a as f64 * 0.5),
+        ]
+    };
+    let extremes: Vec<AggExpr> = (1..4)
+        .flat_map(|c| {
+            [
+                AggExpr::new(AggFunc::Min, Expr::col(c)),
+                AggExpr::new(AggFunc::Max, Expr::col(c)),
+            ]
+        })
+        .collect();
+    let plans = [
+        QueryBuilder::scan("m")
+            .aggregate(vec![], extremes.clone())
+            .build(),
+        QueryBuilder::scan("m")
+            .filter(Expr::col(0).ne(Expr::lit(3)))
+            .aggregate(vec![], extremes.clone())
+            .build(),
+        QueryBuilder::scan("m")
+            .aggregate(vec![Expr::col(0)], extremes.clone())
+            .build(),
+    ];
+    let sorted = |mut rows: Vec<Vec<Value>>| {
+        rows.sort_by_key(|r| r[0].as_i64());
+        rows
+    };
+    for tail in [false, true] {
+        let db = Database::with_maintenance(MaintenanceConfig {
+            mode: MaintenanceMode::Off,
+            ..Default::default()
+        });
+        db.create_table("m", schema.clone()).unwrap();
+        let main: Vec<Vec<Value>> = (0..100).map(|i| row(i % 5, i * 37 % 100 - 50)).collect();
+        db.insert_batch("m", &main).unwrap();
+        db.merge_all().unwrap();
+        if tail {
+            // new extremes for some groups, left unmerged
+            let rows: Vec<Vec<Value>> = (0..10)
+                .map(|i| row(i % 5, if i % 2 == 0 { 500 + i } else { -500 - i }))
+                .collect();
+            db.insert_batch("m", &rows).unwrap();
+            assert!(db.with_table("m", |vt| vt.live_delta_rows()).unwrap() > 0);
+        }
+        for plan in &plans {
+            let expected = sorted(db.execute(plan).unwrap().into_output().rows);
+            let ctx = format!("tail={tail} plan={plan:?}");
+            let last = &expected[0][expected[0].len() - 6..];
+            assert!(
+                matches!(
+                    last,
+                    [
+                        Value::Int32(_),
+                        Value::Int32(_),
+                        Value::Int64(_),
+                        Value::Int64(_),
+                        Value::Float64(_),
+                        Value::Float64(_)
+                    ]
+                ),
+                "{ctx}: execute returned {last:?}"
+            );
+            for (name, engine) in common::engines(plan) {
+                let rows = sorted(db.run_with(plan, engine).unwrap().into_output().rows);
+                assert_eq!(rows, expected, "{ctx}: {name} vs execute");
+            }
+        }
+    }
+}

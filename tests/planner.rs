@@ -290,7 +290,7 @@ physical plan
   engine: compiled (threads 1)
   pipeline 0: R via index probe col 0 = 0 — est 10 of 1000 rows (+0 delta)
   cost: 2485 cycles (mem 985 + cpu 1500), est 10 output rows
-  alternatives: index=2485 scan/compiled=7252 scan/vectorized=12277 scan/bulk=24537 scan/volcano=124837
+  alternatives: index=2485 scan=7252
 ";
     assert_eq!(
         phys.explain(),
